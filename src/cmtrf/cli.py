@@ -177,6 +177,7 @@ def _save_bundle(out_dir, result: core.FitResult, train: SparseRatingDataset, cf
         "seed": cfg.seed,
         "objective": result.objective,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "level_vocab": train.level_vocab,
         "user_labels": _label_list(train.user_labels),
         "item_labels": _label_list(train.item_labels),
@@ -385,6 +386,7 @@ def cmd_train(args) -> int:
             "epsilon": args.epsilon,
             "objective": result.objective,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "outer_iters": result.trace[-1]["iter"],
         }
         if test is not None:
@@ -538,6 +540,7 @@ def run_gridsearch(args):
             "val_mae": mae(preds, val.raw_values),
             "objective": result.objective,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
         }
         _dump_json(row, cell_path)
         rows.append(row)

@@ -22,6 +22,8 @@ from .errors import DataError
 from .factorization import (
     FactorModel,
     RegularizationConfig,
+    _ObservationIndex,
+    _scores,
     init_model,
     regularized_objective,
     solve_factors,
@@ -29,6 +31,9 @@ from .factorization import (
 from .isotonic import IsotonicProblem, RatingScaleTransform, fit_margin_isotonic
 
 MODES = ("1cmtrf", "ncmtrf", "kcmtrf", "mf")
+# A phase whose objective rises by more than this share of the previous
+# value breaks the descent guarantee and ends the fit.
+RISE_RTOL = 1e-9
 
 
 @dataclass
@@ -103,7 +108,12 @@ class FitResult:
     assignments: np.ndarray | None
     epsilon: float
     trace: list  # dicts: {"iter", "phase", "objective"}
-    converged: bool
+    stop_reason: str  # "tol", "max_iters" or "objective_increased"
+
+    @property
+    def converged(self) -> bool:
+        """True when the relative objective decrease fell below ``tol``."""
+        return self.stop_reason == "tol"
 
     @property
     def objective(self) -> float:
@@ -134,7 +144,7 @@ def aggregate_levels(levels, scores, n_levels: int) -> LevelAggregate:
 
 
 class _TrainData:
-    """Flat triplet arrays plus cached level bookkeeping."""
+    """Flat triplet arrays plus cached level and row bookkeeping."""
 
     def __init__(self, dataset: SparseRatingDataset):
         if dataset.n_ratings == 0:
@@ -148,14 +158,10 @@ class _TrainData:
         self.level_vocab = dataset.level_vocab
         # Transform rows are stored highest level first.
         self.positions = self.n_levels - 1 - self.levels
-        self.pairs = np.column_stack([self.users, self.items])
+        self.index = _ObservationIndex(self.users, self.items)
 
     def scores(self, model: FactorModel) -> np.ndarray:
-        return np.einsum(
-            "ij,ij->i",
-            model.user_factors[self.users],
-            model.item_factors[self.items],
-        )
+        return _scores(model, self.users, self.items)
 
     def grouped_aggregates(self, group_of_user, n_groups, scores):
         """Counts and mean scores per (group, level), both (n_groups, L)."""
@@ -300,6 +306,7 @@ def init_clusters(
 class _Tracer:
     def __init__(self):
         self.records = []
+        self.rise = None  # the first record whose objective rose
 
     def add(self, iteration, phase, objective, **extra):
         record = {
@@ -308,11 +315,29 @@ class _Tracer:
             "objective": float(objective),
         }
         record.update(extra)
+        if self.records and self.rise is None:
+            prev = self.last
+            if record["objective"] > prev + RISE_RTOL * abs(prev):
+                self.rise = record
         self.records.append(record)
 
     @property
     def last(self):
         return self.records[-1]["objective"]
+
+    def stop_reason(self, mode, prev_objective, stable, tol):
+        """Why the loop ends after the latest iteration, or None to go on."""
+        if self.rise is not None:
+            warnings.warn(
+                f"{mode}: objective rose in the {self.rise['phase']} phase of "
+                f"iteration {self.rise['iter']}; stopping",
+                RuntimeWarning,
+            )
+            return "objective_increased"
+        drop = prev_objective - self.last
+        if stable and drop < tol * max(abs(prev_objective), 1e-12):
+            return "tol"
+        return None
 
 
 def _base_rows(n_rows: int, n_levels: int, eps: float) -> np.ndarray:
@@ -337,7 +362,13 @@ def _run_alternating(
 
     def objective(trs, own, mdl):
         return regularized_objective(
-            data.users, data.items, _targets(trs, own, data), mdl, reg, div
+            data.users,
+            data.items,
+            _targets(trs, own, data),
+            mdl,
+            reg,
+            div,
+            index=data.index,
         )
 
     trace.add(0, "init", objective(transforms, owner, model))
@@ -349,10 +380,11 @@ def _run_alternating(
         reg,
         div,
         sweeps=config.inner_sweeps,
+        index=data.index,
     )
     trace.add(0, "factorize", objective(transforms, owner, model))
 
-    converged = False
+    stop_reason = "max_iters"
     for it in range(1, config.outer_max_iters + 1):
         prev_objective = trace.last
         prev_assignments = None if assignments is None else assignments.copy()
@@ -405,17 +437,20 @@ def _run_alternating(
             reg,
             div,
             sweeps=config.inner_sweeps,
+            index=data.index,
         )
         trace.add(it, "factorize", objective(transforms, owner, model))
 
-        drop = prev_objective - trace.last
         stable = (
             prev_assignments is None
             or assignments is None
             or np.array_equal(prev_assignments, assignments)
         )
-        if stable and drop < config.tol * max(abs(prev_objective), 1e-12):
-            converged = True
+        reason = trace.stop_reason(
+            config.mode, prev_objective, stable, config.tol
+        )
+        if reason is not None:
+            stop_reason = reason
             break
 
     return FitResult(
@@ -425,7 +460,7 @@ def _run_alternating(
         assignments=None if assignments is None else assignments.copy(),
         epsilon=eps,
         trace=trace.records,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 
@@ -515,25 +550,28 @@ def fit_mf(
         0,
         "init",
         regularized_objective(
-            data.users, data.items, targets, model, cfg.reg, cfg.div
+            data.users, data.items, targets, model, cfg.reg, cfg.div,
+            index=data.index,
         ),
     )
-    converged = False
+    stop_reason = "max_iters"
     for it in range(1, cfg.outer_max_iters + 1):
         prev = trace.last
         model = solve_factors(
             data.users, data.items, targets, model, cfg.reg, cfg.div,
-            sweeps=cfg.inner_sweeps,
+            sweeps=cfg.inner_sweeps, index=data.index,
         )
         trace.add(
             it,
             "factorize",
             regularized_objective(
-                data.users, data.items, targets, model, cfg.reg, cfg.div
+                data.users, data.items, targets, model, cfg.reg, cfg.div,
+                index=data.index,
             ),
         )
-        if prev - trace.last < cfg.tol * max(abs(prev), 1e-12):
-            converged = True
+        reason = trace.stop_reason("mf", prev, True, cfg.tol)
+        if reason is not None:
+            stop_reason = reason
             break
     return FitResult(
         mode="mf",
@@ -542,7 +580,7 @@ def fit_mf(
         assignments=None,
         epsilon=cfg.epsilon,
         trace=trace.records,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 

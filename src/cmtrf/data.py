@@ -8,6 +8,7 @@ and transforms line up across train, validation, and test.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -128,7 +129,7 @@ def load_triplets(
     `columns` names the role of each input column; ``user``, ``item`` and
     ``rating`` are required, ``timestamp`` is optional. Duplicate
     (user, item) pairs keep the last occurrence with a warning. Parse
-    failures report the offending line number.
+    failures and non-finite ratings report the offending line number.
     """
     try:
         delim = _DELIMS[fmt]
@@ -160,6 +161,10 @@ def load_triplets(
                         stamps.append(None)
             except (IndexError, ValueError) as exc:
                 raise DataError(f"{path}: malformed row at line {lineno}: {exc}")
+            if not math.isfinite(ratings[-1]):
+                raise DataError(
+                    f"{path}: non-finite rating {ratings[-1]!r} at line {lineno}"
+                )
     if not raw_users:
         raise DataError(f"{path}: no ratings found")
     if has_ts:

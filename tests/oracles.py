@@ -1,6 +1,7 @@
-"""Independent brute-force solvers used to cross-check the library.
+"""Independent reference solvers used to cross-check the library.
 
-Both oracles solve the margin-constrained weighted least-squares problem
+The margin-isotonic oracles solve the margin-constrained weighted
+least-squares problem
 
     min_r  0.5 * sum_k w_k (r_k - t_k)^2   s.t.  r_k >= r_{k+1} + eps
 
@@ -9,6 +10,10 @@ which turns the chain constraints into simple bounds. One oracle runs
 accelerated projected gradient descent; the other enumerates every active
 set of the bound constraints and solves the resulting least-squares
 systems exactly. Neither shares any code with the library's solver.
+
+`ridge_als_loop` is the per-row ridge ALS that the library's stacked
+solve replaced: one normal-equation solve per observed row, rows visited in
+order, users first and then items in each sweep.
 """
 import itertools
 
@@ -83,3 +88,30 @@ def margin_isotonic_enum(targets, weights, epsilon):
         if obj < best_obj:
             best_obj, best_r = obj, r
     return best_r
+
+
+def _ridge_row(other_rows, targets, lam, floor):
+    d = other_rows.shape[1]
+    gram = other_rows.T @ other_rows
+    gram[np.diag_indices(d)] += lam if lam > 0 else floor
+    return np.linalg.solve(gram, other_rows.T @ targets)
+
+
+def ridge_als_loop(users, items, targets, init, reg, sweeps=1, floor=1e-10):
+    """Squared-loss ALS, one ridge solve per observed row; returns (U, V)."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    targets = np.asarray(targets, dtype=float)
+    U = init.user_factors.copy()
+    V = init.item_factors.copy()
+    for _ in range(sweeps):
+        for keys, other_keys, out, other, lam in (
+            (users, items, U, V, reg.lambda_u),
+            (items, users, V, U, reg.lambda_v),
+        ):
+            for row in np.unique(keys):
+                ids = np.flatnonzero(keys == row)
+                out[row] = _ridge_row(
+                    other[other_keys[ids]], targets[ids], lam, floor
+                )
+    return U, V

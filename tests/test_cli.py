@@ -80,6 +80,15 @@ class TestPrepare:
     def test_missing_input_is_data_error(self, tmp_path):
         assert _run("prepare", tmp_path / "nope.tsv", "--out", tmp_path / "y") == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_rating_is_data_error(self, tmp_path, capsys, bad):
+        src = tmp_path / "bad.tsv"
+        src.write_text(f"1\t1\t3\t1\n1\t2\t{bad}\t2\n2\t1\t4\t3\n")
+        assert _run("prepare", src, "--out", tmp_path / "p") == 2
+        assert "line 2" in capsys.readouterr().err
+        assert _run("train", "--train", src, "--out", tmp_path / "t") == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_same_seed_same_bytes(self, tmp_path):
@@ -133,6 +142,13 @@ class TestTrain:
         rows = json.loads((out / "metrics.json").read_text())
         assert [row["d"] for row in rows] == [2, 3]
         assert all("mse" in row for row in rows)
+        for row in rows:
+            assert row["stop_reason"] in ("tol", "max_iters")
+            assert row["converged"] == (row["stop_reason"] == "tol")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [m["stop_reason"] for m in manifest["metrics"]] == [
+            row["stop_reason"] for row in rows
+        ]
         assert (out / "d2" / "model.txt").exists()
         assert (out / "d3" / "trace.jsonl").exists()
 

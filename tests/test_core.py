@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from oracles import ridge_als_loop
 
+from cmtrf import core
 from cmtrf.core import (
     ClusterState,
+    FitResult,
     aggregate_levels,
     assign_clusters,
     fit_1cmtrf,
@@ -109,10 +112,29 @@ class TestFit1:
             reg=RegularizationConfig(0.5, 0.5), outer_max_iters=600
         )
         result = fit_1cmtrf(sd1_small, cfg)
-        assert result.converged
+        assert result.converged and result.stop_reason == "tol"
         values = result.objective_values()
         rel = (values[-4] - values[-1]) / abs(values[-4])
         assert rel < 1e-3  # settled, not just cut off
+
+    def test_trace_matches_per_row_ridge_loop(self, sd2_small, monkeypatch):
+        cfg = small_config(outer_max_iters=25)
+        stacked = fit_1cmtrf(sd2_small, cfg)
+
+        def per_row(users, items, targets, init, reg, div, sweeps=1, index=None):
+            U, V = ridge_als_loop(users, items, targets, init, reg, sweeps)
+            return FactorModel(U, V)
+
+        monkeypatch.setattr(core, "solve_factors", per_row)
+        looped = fit_1cmtrf(sd2_small, cfg)
+        assert len(stacked.trace) == len(looped.trace) > 25
+        np.testing.assert_allclose(
+            stacked.objective_values(), looped.objective_values(), rtol=1e-9
+        )
+
+    def test_cap_reports_max_iters(self, sd1_small):
+        result = fit_1cmtrf(sd1_small, small_config(outer_max_iters=2))
+        assert result.stop_reason == "max_iters" and not result.converged
 
     def test_gap_terms_nonnegative(self, sd1_small):
         cfg = small_config()
@@ -197,8 +219,6 @@ def _fake_n_result(transform_rows):
     rows = np.asarray(transform_rows, dtype=float)
     n = rows.shape[0]
     model = FactorModel(np.zeros((n, 1)), np.zeros((3, 1)))
-    from cmtrf.core import FitResult
-
     return FitResult(
         mode="ncmtrf",
         model=model,
@@ -206,7 +226,7 @@ def _fake_n_result(transform_rows):
         assignments=None,
         epsilon=0.5,
         trace=[{"iter": 0, "phase": "init", "objective": 0.0}],
-        converged=True,
+        stop_reason="tol",
     )
 
 
@@ -386,6 +406,24 @@ class TestFitMF:
         _assert_monotone(result)
         assert result.transforms is None
         assert result.converged
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("fit_fn", [fit_1cmtrf, fit_mf])
+    def test_rising_objective_stops_the_fit(self, sd2_small, monkeypatch, fit_fn):
+        solve = core.solve_factors
+
+        def worsening(*args, **kwargs):
+            model = solve(*args, **kwargs)
+            return FactorModel(3.0 * model.user_factors, model.item_factors)
+
+        monkeypatch.setattr(core, "solve_factors", worsening)
+        with pytest.warns(RuntimeWarning, match="objective rose"):
+            result = fit_fn(sd2_small, small_config(outer_max_iters=50))
+        assert result.stop_reason == "objective_increased"
+        assert not result.converged
+        assert result.trace[-1]["iter"] <= 2
+        assert np.diff(result.objective_values()).max() > 0
 
 
 class TestClusterStateValidation:

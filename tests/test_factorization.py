@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from oracles import ridge_als_loop
 
+from cmtrf import factorization
 from cmtrf.divergence import GID
 from cmtrf.errors import DomainError
 from cmtrf.factorization import (
+    RIDGE_FLOOR,
     FactorModel,
     RegularizationConfig,
     init_model,
@@ -147,6 +150,103 @@ class TestSolveFactors:
             cur = regularized_objective(users, items, targets, model, reg, GID)
             assert cur <= prev + 1e-9
             prev = cur
+
+
+# Observation counts per user: single entries, exact powers of two and one
+# past them (the edges of the power-of-two blocks), and an unobserved user.
+EDGE_COUNTS = [1, 2, 3, 4, 5, 8, 9, 16, 17, 0, 1, 32, 33]
+
+
+def _entries_with_counts(counts, n_items, seed):
+    """Shuffled (user, item) pairs; user u rates counts[u] distinct items.
+
+    Items are drawn from all but the last, which stays unobserved.
+    """
+    rng = np.random.default_rng(seed)
+    users = np.repeat(np.arange(len(counts)), counts)
+    items = np.concatenate(
+        [rng.choice(n_items - 1, c, replace=False) for c in counts]
+    )
+    perm = rng.permutation(users.size)
+    return users[perm], items[perm]
+
+
+class TestStackedRidge:
+    """The stacked per-side solve against the per-row loop it replaced."""
+
+    def _compare(self, users, items, n_users, n_items, rank, lam, seed):
+        targets = np.random.default_rng(seed + 100).normal(0, 1, users.size)
+        init = init_model(n_users, n_items, rank, seed=seed)
+        reg = RegularizationConfig(lam, lam)
+        out = solve_factors(users, items, targets, init, reg, sweeps=2)
+        U, V = ridge_als_loop(
+            users, items, targets, init, reg, sweeps=2, floor=RIDGE_FLOOR
+        )
+        assert np.max(np.abs(out.user_factors - U)) <= 1e-10
+        assert np.max(np.abs(out.item_factors - V)) <= 1e-10
+        seen_u, seen_i = np.unique(users), np.unique(items)
+        np.testing.assert_array_equal(
+            np.delete(out.user_factors, seen_u, axis=0),
+            np.delete(init.user_factors, seen_u, axis=0),
+        )
+        np.testing.assert_array_equal(
+            np.delete(out.item_factors, seen_i, axis=0),
+            np.delete(init.item_factors, seen_i, axis=0),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rank, lam", [(3, 0.1), (5, 0.01), (1, 0.1), (1, 0.0)])
+    def test_matches_per_row_loop(self, rank, lam, seed):
+        n_items = 40
+        users, items = _entries_with_counts(EDGE_COUNTS, n_items, seed)
+        self._compare(users, items, len(EDGE_COUNTS), n_items, rank, lam, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ridge_floor_matches_per_row_loop(self, seed):
+        # With lambda = 0 and fewer entries than the rank, the normal
+        # equations are singular up to RIDGE_FLOOR and any two solvers agree
+        # only to ~1e-5 or worse. Every row here has at least `rank`
+        # entries in general position, so the floor path is well posed.
+        rank, n_items = 3, 12
+        users, items = _entries_with_counts(
+            [3, 4, 5, 8, 9, 4, 5, 8, 9, 11, 11, 3, 0], n_items, seed
+        )
+        assert np.bincount(items).min() >= rank
+        self._compare(users, items, 13, n_items, rank, 0.0, seed)
+
+    def test_side_split_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(factorization, "BLOCK_ENTRIES", 8)
+        users, items = _entries_with_counts(EDGE_COUNTS, 40, 3)
+        side = factorization._SideIndex(users)
+        widths = [entries.shape[1] for _, entries, _ in side.blocks]
+        assert len(widths) > len(set(widths))  # some width spans blocks
+        for (rows, _, _), width in zip(side.blocks, widths):
+            assert rows.size * width <= 8 or rows.size == 1
+        self._compare(users, items, len(EDGE_COUNTS), 40, 3, 0.1, 3)
+
+    def test_index_covers_each_entry_once(self):
+        users, items = _entries_with_counts(EDGE_COUNTS, 40, 4)
+        side = factorization._SideIndex(users)
+        np.testing.assert_array_equal(side.rows, np.unique(users))
+        covered = np.concatenate(
+            [entries[valid] for _, entries, valid in side.blocks]
+        )
+        np.testing.assert_array_equal(np.sort(covered), np.arange(users.size))
+        for rows, entries, valid in side.blocks:
+            width = entries.shape[1]
+            counts = valid.sum(axis=1)
+            assert np.all((counts > width // 2) & (counts <= width))
+            np.testing.assert_array_equal(counts, np.bincount(users)[rows])
+            assert np.all(users[entries[valid]] == np.repeat(rows, counts))
+
+    def test_index_from_other_entries_rejected(self):
+        init = init_model(3, 3, 1, seed=0)
+        index = factorization._ObservationIndex(np.array([0, 1]), np.array([0, 1]))
+        reg = RegularizationConfig(0.1, 0.1)
+        with pytest.raises(ValueError, match="index"):
+            solve_factors([0], [0], [1.0], init, reg, index=index)
+        with pytest.raises(ValueError, match="index"):
+            regularized_objective([0], [0], [1.0], init, reg, index=index)
 
 
 class TestModelValidation:
