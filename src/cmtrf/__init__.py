@@ -24,7 +24,7 @@ from .core import (
 from .data import (
     SparseRatingDataset,
     SplitSpec,
-    align_to,
+    align,
     concat_rows,
     load_triplets,
     preprocess,
@@ -72,7 +72,7 @@ __all__ = [
     "SynthResult",
     "TrainConfig",
     "aggregate_levels",
-    "align_to",
+    "align",
     "assign_clusters",
     "build_inverse",
     "by_name",

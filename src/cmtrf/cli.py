@@ -30,7 +30,7 @@ from . import core
 from .data import (
     SparseRatingDataset,
     SplitSpec,
-    align_to,
+    align,
     concat_rows,
     load_triplets,
     preprocess,
@@ -129,13 +129,14 @@ def _parse_ints(text: str) -> list:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _train_config(args, rank: int, n_clusters: int | None = None):
+def _train_config(args, rank: int, k: int | None, lambda_u, lambda_v):
+    """The one TrainConfig build; the shared training flags come from `args`."""
     return core.TrainConfig(
         mode=args.mode,
-        n_clusters=n_clusters if n_clusters is not None else args.k,
+        n_clusters=1 if k is None else k,
         rank=rank,
         epsilon=args.epsilon,
-        reg=RegularizationConfig(args.lambda_u, args.lambda_v),
+        reg=RegularizationConfig(lambda_u, lambda_v),
         div=by_name(args.divergence),
         outer_max_iters=args.max_outer,
         tol=args.tol,
@@ -196,56 +197,6 @@ def _load_bundle(bundle_dir):
     with open(os.path.join(bundle_dir, "bundle.json")) as fh:
         bundle = json.load(fh)
     return model, bundle
-
-
-def _align_to_bundle(bundle, ds: SparseRatingDataset) -> SparseRatingDataset:
-    """Strictly re-express a dataset in a saved bundle's id spaces."""
-    user_map = {lbl: i for i, lbl in enumerate(bundle["user_labels"])}
-    item_map = {lbl: i for i, lbl in enumerate(bundle["item_labels"])}
-    vocab = np.asarray(bundle["level_vocab"], dtype=float)
-    try:
-        users = np.asarray([user_map[l] for l in _label_list(ds.user_labels[ds.users])])
-        items = np.asarray([item_map[l] for l in _label_list(ds.item_labels[ds.items])])
-    except KeyError as exc:
-        raise DataError(f"label {exc.args[0]!r} unknown to the trained model")
-    levels = np.clip(np.searchsorted(vocab, ds.raw_values), 0, vocab.size - 1)
-    if not np.allclose(vocab[levels], ds.raw_values):
-        raise DataError("rating vocabulary mismatch with the trained model")
-    return SparseRatingDataset(
-        users, items, levels, ds.timestamps, vocab,
-        np.asarray(bundle["user_labels"], dtype=object),
-        np.asarray(bundle["item_labels"], dtype=object),
-    )
-
-
-def _align_filter(reference: SparseRatingDataset, other: SparseRatingDataset):
-    """Tolerant alignment: drop rows the reference cannot express."""
-    user_map = {lbl: i for i, lbl in enumerate(_label_list(reference.user_labels))}
-    item_map = {lbl: i for i, lbl in enumerate(_label_list(reference.item_labels))}
-    vocab = reference.level_vocab
-    users, items, levels, rows = [], [], [], []
-    other_users = _label_list(other.user_labels[other.users])
-    other_items = _label_list(other.item_labels[other.items])
-    values = other.raw_values
-    for row in range(other.n_ratings):
-        u = user_map.get(other_users[row])
-        i = item_map.get(other_items[row])
-        lv = int(np.searchsorted(vocab, values[row]))
-        if u is None or i is None or lv >= vocab.size or vocab[lv] != values[row]:
-            continue
-        users.append(u)
-        items.append(i)
-        levels.append(lv)
-        rows.append(row)
-    dropped = other.n_ratings - len(rows)
-    if not rows:
-        raise DataError("no overlapping rows with the reference data")
-    ts = None if other.timestamps is None else other.timestamps[rows]
-    aligned = SparseRatingDataset(
-        np.asarray(users), np.asarray(items), np.asarray(levels), ts,
-        vocab, reference.user_labels, reference.item_labels,
-    )
-    return aligned, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +293,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _fit_cell(train, mode, cfg, ncmtrf_cache):
+def _fit_cell(train, cfg, ncmtrf_cache):
     """Train one configuration, sharing the per-user warm-up across K."""
-    if mode != "kcmtrf" or cfg.n_clusters == 1:
+    if cfg.mode != "kcmtrf" or cfg.n_clusters == 1:
         return core.fit(train, cfg)
     cache_key = (cfg.reg.lambda_u, cfg.reg.lambda_v, cfg.rank)
     if cache_key not in ncmtrf_cache:
@@ -362,7 +313,10 @@ def cmd_train(args) -> int:
     test = None
     if args.test:
         test_path = _resolve(args.test)
-        test = align_to(train, load_triplets(test_path, fmt=args.format))
+        test = align(
+            load_triplets(test_path, fmt=args.format),
+            train.user_labels, train.item_labels, train.level_vocab,
+        )
         inputs.append(test_path)
 
     os.makedirs(args.out, exist_ok=True)
@@ -370,9 +324,9 @@ def cmd_train(args) -> int:
     rows = []
     ncache: dict = {}
     for rank in _parse_ints(args.d):
-        cfg = _train_config(args, rank)
+        cfg = _train_config(args, rank, args.k, args.lambda_u, args.lambda_v)
         cell_t0 = time.perf_counter()
-        result = _fit_cell(train, args.mode, cfg, ncache)
+        result = _fit_cell(train, cfg, ncache)
         wall = time.perf_counter() - cell_t0
         bundle_dir = os.path.join(args.out, f"d{rank}")
         outputs.extend(_save_bundle(bundle_dir, result, train, cfg))
@@ -393,6 +347,7 @@ def cmd_train(args) -> int:
             preds = _result_predict(result, test)
             row["mse"] = mse(preds, test.raw_values)
             row["mae"] = mae(preds, test.raw_values)
+            row["n_scored"] = test.n_ratings
         rows.append(row)
         _report({**row, "wall_time_s": round(wall, 3)})
 
@@ -410,9 +365,12 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     model, bundle = _load_bundle(args.model)
     data_path = _resolve(args.data)
-    ds = _align_to_bundle(bundle, load_triplets(data_path, fmt=args.format))
+    ds = align(
+        load_triplets(data_path, fmt=args.format),
+        bundle["user_labels"], bundle["item_labels"], bundle["level_vocab"],
+    )
     pairs = np.column_stack([ds.users, ds.items])
-    vocab = np.asarray(bundle["level_vocab"], dtype=float)
+    vocab = ds.level_vocab
     if bundle["transforms"] is None:
         preds = np.clip(predict_scores(model, pairs), vocab[0], vocab[-1])
     else:
@@ -474,18 +432,13 @@ def run_gridsearch(args):
     train_path = _resolve(args.train)
     val_path = _resolve(args.val)
     train = load_triplets(train_path, fmt=args.format)
-    val, dropped = _align_filter(train, load_triplets(val_path, fmt=args.format))
-    if dropped:
-        warnings.warn(f"{dropped} validation rows not scoreable; skipped")
+    reference = (train.user_labels, train.item_labels, train.level_vocab)
+    val = align(load_triplets(val_path, fmt=args.format), *reference)
     inputs = [train_path, val_path]
     test = None
     if args.test:
         test_path = _resolve(args.test)
-        test, test_dropped = _align_filter(
-            train, load_triplets(test_path, fmt=args.format)
-        )
-        if test_dropped:
-            warnings.warn(f"{test_dropped} test rows not scoreable; skipped")
+        test = align(load_triplets(test_path, fmt=args.format), *reference)
         inputs.append(test_path)
 
     lambdas = sorted(_parse_floats(args.lambdas))
@@ -513,20 +466,9 @@ def run_gridsearch(args):
             with open(cell_path) as fh:
                 rows.append(json.load(fh))
             continue
-        cfg = core.TrainConfig(
-            mode=args.mode,
-            n_clusters=k if k is not None else 1,
-            rank=rank,
-            epsilon=args.epsilon,
-            reg=RegularizationConfig(lam, lam),
-            div=by_name(args.divergence),
-            outer_max_iters=args.max_outer,
-            tol=args.tol,
-            inner_sweeps=args.inner_sweeps,
-            seed=args.seed,
-        )
+        cfg = _train_config(args, rank, k, lam, lam)
         t0 = time.perf_counter()
-        result = _fit_cell(train, args.mode, cfg, ncache)
+        result = _fit_cell(train, cfg, ncache)
         preds = _result_predict(result, val)
         row = {
             "key": key,
@@ -559,19 +501,10 @@ def run_gridsearch(args):
     if test is not None:
         # Refit the winner on train plus validation before scoring test.
         full = concat_rows(train, val)
-        cfg = core.TrainConfig(
-            mode=args.mode,
-            n_clusters=best["K"] if best["K"] is not None else 1,
-            rank=best["d"],
-            epsilon=args.epsilon,
-            reg=RegularizationConfig(best["lambda"], best["lambda"]),
-            div=by_name(args.divergence),
-            outer_max_iters=args.max_outer,
-            tol=args.tol,
-            inner_sweeps=args.inner_sweeps,
-            seed=args.seed,
+        cfg = _train_config(
+            args, best["d"], best["K"], best["lambda"], best["lambda"]
         )
-        result = _fit_cell(full, args.mode, cfg, {})
+        result = _fit_cell(full, cfg, {})
         preds = _result_predict(result, test)
         test_row = {
             **{k: best[k] for k in ("mode", "lambda", "K", "d", "epsilon")},

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,10 +137,22 @@ def aggregate_levels(levels, scores, n_levels: int) -> LevelAggregate:
     scores = np.asarray(scores, dtype=float)
     if levels.shape != scores.shape:
         raise ValueError("levels and scores must be parallel arrays")
-    counts = np.bincount(levels, minlength=n_levels).astype(float)
-    sums = np.bincount(levels, weights=scores, minlength=n_levels)
-    means = np.divide(sums, counts, out=np.zeros(n_levels), where=counts > 0)
-    return LevelAggregate(counts, means)
+    counts, means = _level_means(levels, scores, 1, n_levels)
+    return LevelAggregate(counts[0], means[0])
+
+
+def _level_means(keys, scores, n_groups: int, n_levels: int):
+    """Counts and mean scores per (group, level) key ``group * L + level``.
+
+    Both results are (n_groups, n_levels); empty cells get a zero mean.
+    """
+    size = n_groups * n_levels
+    counts = np.bincount(keys, minlength=size).astype(float)
+    sums = np.bincount(keys, weights=scores, minlength=size)
+    counts = counts.reshape(n_groups, n_levels)
+    sums = sums.reshape(n_groups, n_levels)
+    means = np.divide(sums, counts, out=np.zeros(counts.shape), where=counts > 0)
+    return counts, means
 
 
 class _TrainData:
@@ -166,13 +178,7 @@ class _TrainData:
     def grouped_aggregates(self, group_of_user, n_groups, scores):
         """Counts and mean scores per (group, level), both (n_groups, L)."""
         keys = group_of_user[self.users] * self.n_levels + self.levels
-        size = n_groups * self.n_levels
-        counts = np.bincount(keys, minlength=size).astype(float)
-        sums = np.bincount(keys, weights=scores, minlength=size)
-        counts = counts.reshape(n_groups, self.n_levels)
-        sums = sums.reshape(n_groups, self.n_levels)
-        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-        return counts, means
+        return _level_means(keys, scores, n_groups, self.n_levels)
 
 
 def _solve_transform_row(counts, means, eps, div) -> np.ndarray:
@@ -471,7 +477,7 @@ def fit_1cmtrf(
 ) -> FitResult:
     """One shared transform for every user."""
     data = _TrainData(dataset)
-    cfg = _with_mode(config, "1cmtrf")
+    cfg = replace(config, mode="1cmtrf")
     transforms = _base_rows(1, data.n_levels, cfg.epsilon)
     owner = np.zeros(data.n_users, dtype=np.int64)
     return _run_alternating(data, cfg, owner, transforms, None, init, False)
@@ -484,7 +490,7 @@ def fit_ncmtrf(
 ) -> FitResult:
     """An individual transform per user."""
     data = _TrainData(dataset)
-    cfg = _with_mode(config, "ncmtrf")
+    cfg = replace(config, mode="ncmtrf")
     transforms = _base_rows(data.n_users, data.n_levels, cfg.epsilon)
     owner = np.arange(data.n_users, dtype=np.int64)
     return _run_alternating(data, cfg, owner, transforms, None, init, False)
@@ -505,7 +511,7 @@ def fit_kcmtrf(
     trajectory.
     """
     data = _TrainData(dataset)
-    cfg = _with_mode(config, "kcmtrf")
+    cfg = replace(config, mode="kcmtrf")
     k = cfg.n_clusters
     if not 1 <= k <= data.n_users:
         raise ValueError("need 1 <= n_clusters <= n_users")
@@ -540,7 +546,7 @@ def fit_mf(
 ) -> FitResult:
     """Plain factorization of the raw rating values; the no-transform ablation."""
     data = _TrainData(dataset)
-    cfg = _with_mode(config, "mf")
+    cfg = replace(config, mode="mf")
     targets = data.level_vocab[data.levels]
     model = init if init is not None else init_model(
         data.n_users, data.n_items, cfg.rank, cfg.seed
@@ -592,20 +598,3 @@ def fit(dataset: SparseRatingDataset, config: TrainConfig) -> FitResult:
         "kcmtrf": fit_kcmtrf,
         "mf": fit_mf,
     }[config.mode](dataset, config)
-
-
-def _with_mode(config: TrainConfig, mode: str) -> TrainConfig:
-    if config.mode == mode:
-        return config
-    return TrainConfig(
-        mode=mode,
-        n_clusters=config.n_clusters,
-        rank=config.rank,
-        epsilon=config.epsilon,
-        reg=config.reg,
-        div=config.div,
-        outer_max_iters=config.outer_max_iters,
-        tol=config.tol,
-        inner_sweeps=config.inner_sweeps,
-        seed=config.seed,
-    )

@@ -67,10 +67,7 @@ class SparseRatingDataset:
 
     def level_of_value(self, value: float) -> int:
         """0-based vocabulary index of a raw rating value."""
-        idx = int(np.searchsorted(self.level_vocab, value))
-        if idx >= self.n_levels or self.level_vocab[idx] != value:
-            raise DataError(f"rating value {value!r} not in vocabulary")
-        return idx
+        return int(_levels_of(self.level_vocab, [value])[0])
 
     def subset(self, index) -> "SparseRatingDataset":
         """Row subset sharing this dataset's id spaces and vocabulary."""
@@ -174,9 +171,15 @@ def load_triplets(
             raise DataError(f"{path}: timestamps present on only some rows")
 
     def _encode(labels):
+        # Integer labels only when every label is its integer's own text, so
+        # "007" and "7" stay two labels.
         try:
-            arr = np.asarray([int(v) for v in labels], dtype=np.int64)
+            integral = all(str(int(v)) == v for v in set(labels))
         except ValueError:
+            integral = False
+        if integral:
+            arr = np.asarray([int(v) for v in labels], dtype=np.int64)
+        else:
             arr = np.asarray(labels, dtype=object)
         uniq, dense = np.unique(arr, return_inverse=True)
         return uniq, dense
@@ -227,38 +230,62 @@ def write_triplets(dataset: SparseRatingDataset, path) -> None:
             fh.write("\t".join(fields) + "\n")
 
 
-def align_to(
-    reference: SparseRatingDataset, other: SparseRatingDataset
-) -> SparseRatingDataset:
-    """Re-express `other` in the id spaces and vocabulary of `reference`.
+def _levels_of(level_vocab, values) -> np.ndarray:
+    """Vocabulary index of each value; a value not in it exactly raises."""
+    values = np.asarray(values, dtype=float)
+    idx = np.minimum(np.searchsorted(level_vocab, values), level_vocab.size - 1)
+    wrong = level_vocab[idx] != values
+    if wrong.any():
+        raise DataError(
+            f"rating value {float(values[wrong][0])!r} not in vocabulary"
+        )
+    return idx
 
-    Every user label, item label, and rating value of `other` must already
-    occur in `reference`; unseen ones raise, since no model trained on the
-    reference could score them.
+
+def _positions(labels, queries) -> np.ndarray:
+    """Index of each query in `labels`, matched by text; -1 when absent."""
+    text = np.asarray(labels).astype(str)
+    order = np.argsort(text)
+    ranked = text[order]
+    queries = np.asarray(queries).astype(str)
+    at = np.minimum(np.searchsorted(ranked, queries), ranked.size - 1)
+    return np.where(ranked[at] == queries, order[at], -1)
+
+
+def align(
+    other: SparseRatingDataset, user_labels, item_labels, level_vocab
+) -> SparseRatingDataset:
+    """Re-express `other` in a trained model's id spaces and vocabulary.
+
+    Labels match by their text. Rows whose user or item label is not among
+    `user_labels`/`item_labels` cannot be scored: they are dropped with one
+    warning giving their count. A rating value that is not exactly a
+    `level_vocab` value, or nothing left to score, raises.
     """
-    user_map = {label: idx for idx, label in enumerate(reference.user_labels)}
-    item_map = {label: idx for idx, label in enumerate(reference.item_labels)}
-    try:
-        users = np.asarray(
-            [user_map[lbl] for lbl in other.user_labels[other.users]]
+    user_labels = np.asarray(user_labels)
+    item_labels = np.asarray(item_labels)
+    level_vocab = np.asarray(level_vocab, dtype=float)
+    levels = _levels_of(level_vocab, other.level_vocab)[other.levels]
+    users = _positions(user_labels, other.user_labels)[other.users]
+    items = _positions(item_labels, other.item_labels)[other.items]
+    keep = (users >= 0) & (items >= 0)
+    if not keep.any():
+        raise DataError("no row has a user and an item known to the model")
+    dropped = other.n_ratings - int(keep.sum())
+    if dropped:
+        warnings.warn(
+            f"{dropped} of {other.n_ratings} rows have a user or item the "
+            "model never saw; dropped",
+            stacklevel=2,
         )
-        items = np.asarray(
-            [item_map[lbl] for lbl in other.item_labels[other.items]]
-        )
-    except KeyError as exc:
-        raise DataError(f"label {exc.args[0]!r} not present in reference data")
-    levels = np.searchsorted(reference.level_vocab, other.raw_values)
-    levels = np.clip(levels, 0, reference.n_levels - 1)
-    if not np.allclose(reference.level_vocab[levels], other.raw_values):
-        raise DataError("rating vocabulary mismatch with reference data")
     return SparseRatingDataset(
-        users,
-        items,
-        levels,
-        other.timestamps,
-        reference.level_vocab,
-        reference.user_labels,
-        reference.item_labels,
+        users[keep],
+        items[keep],
+        levels[keep],
+        None if other.timestamps is None else other.timestamps[keep],
+        level_vocab,
+        user_labels,
+        item_labels,
     )
 
 

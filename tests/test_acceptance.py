@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
+from cmtrf import cli
 from cmtrf.core import (
     ClusterState,
     TrainConfig,
     fit_1cmtrf,
     fit_kcmtrf,
-    fit_mf,
     fit_ncmtrf,
     init_clusters,
 )
@@ -64,20 +64,7 @@ def _fit_cell(train, mode, k, rank, lam, seed, outer, tol=1e-4, ncache=None):
         inner_sweeps=2,
         seed=seed,
     )
-    if mode == "kcmtrf" and k > 1 and ncache is not None:
-        key = (lam, rank)
-        if key not in ncache:
-            ncache[key] = fit_ncmtrf(train, cfg)
-        n_result = ncache[key]
-        state = init_clusters(train, cfg, n_result=n_result)
-        return fit_kcmtrf(train, cfg, init_state=state, init=n_result.model)
-    if mode == "mf":
-        return fit_mf(train, cfg)
-    if mode == "kcmtrf":
-        return fit_kcmtrf(train, cfg)
-    if mode == "ncmtrf":
-        return fit_ncmtrf(train, cfg)
-    return fit_1cmtrf(train, cfg)
+    return cli._fit_cell(train, cfg, {} if ncache is None else ncache)
 
 
 def _test_metrics(result, part):

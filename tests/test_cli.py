@@ -206,6 +206,66 @@ class TestEval:
         ) == 2
 
 
+class TestHeldOut:
+    def test_sparse_pipeline_scores_known_rows(self, tmp_path):
+        # Uniform splits of sparse data leave test rows whose user occurs
+        # only in validation; train and eval drop those rows and count them.
+        synth, prep = tmp_path / "s", tmp_path / "p"
+        assert _run(
+            "synth", "--kind", "sd2", "--users", 300, "--items", 200,
+            "--density", 0.03, "--seed", 0, "--out", synth,
+        ) == 0
+        assert _run(
+            "prepare", synth / "ratings.tsv", "--split", "uniform",
+            "--seed", 0, "--out", prep,
+        ) == 0
+        n_test = len((prep / "test.tsv").read_text().splitlines())
+        with pytest.warns(UserWarning, match=f"of {n_test} rows"):
+            assert _run(
+                "train", "--train", prep / "train.tsv", "--test",
+                prep / "test.tsv", "--mode", "1cmtrf", "--d", 2,
+                "--max-outer", 5, "--out", tmp_path / "t",
+            ) == 0
+        row = json.loads((tmp_path / "t" / "metrics.json").read_text())[0]
+        assert 0 < row["n_scored"] < n_test
+        with pytest.warns(UserWarning, match=f"of {n_test} rows"):
+            assert _run(
+                "eval", "--model", tmp_path / "t" / "d2", "--data",
+                prep / "test.tsv", "--out", tmp_path / "e",
+            ) == 0
+        scored = json.loads((tmp_path / "e" / "metrics.json").read_text())
+        assert scored["n_scored"] == row["n_scored"]
+        assert scored["mse"] == pytest.approx(row["mse"])
+
+    @pytest.mark.parametrize("value", ["3.9999999", "4.0000001"])
+    def test_rating_off_the_vocabulary_is_data_error(
+        self, tmp_path, prepared, value
+    ):
+        lines = (prepared / "test.tsv").read_text().splitlines()
+        fields = lines[0].split("\t")
+        fields[2] = value
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(["\t".join(fields), *lines[1:]]) + "\n")
+        assert _run(
+            "train", "--train", prepared / "train.tsv", "--test", bad,
+            "--mode", "1cmtrf", "--d", 2, "--max-outer", 2,
+            "--out", tmp_path / "t",
+        ) == 2
+        assert _run(
+            "train", "--train", prepared / "train.tsv", "--mode", "1cmtrf",
+            "--d", 2, "--max-outer", 2, "--out", tmp_path / "m",
+        ) == 0
+        assert _run(
+            "eval", "--model", tmp_path / "m" / "d2", "--data", bad,
+            "--out", tmp_path / "e",
+        ) == 2
+        assert _run(
+            "gridsearch", "--train", prepared / "train.tsv", "--val", bad,
+            "--mode", "1cmtrf", "--lambdas", "0.1", "--ds", 2,
+            "--max-outer", 2, "--out", tmp_path / "g",
+        ) == 2
+
+
 class TestGridsearch:
     def _grid(self, tmp_path, prepared, out, **kw):
         args = [

@@ -67,6 +67,18 @@ class TestAggregateLevels:
                     both_scores[sel].mean()
                 )
 
+    def test_grouped_rows_equal_per_user_aggregates(self, sd2_small):
+        data = core._TrainData(sd2_small)
+        scores = np.random.default_rng(4).normal(3.0, 1.5, data.users.size)
+        counts, means = data.grouped_aggregates(
+            np.arange(data.n_users), data.n_users, scores
+        )
+        for u in range(data.n_users):
+            rows = data.users == u
+            agg = aggregate_levels(data.levels[rows], scores[rows], data.n_levels)
+            np.testing.assert_array_equal(counts[u], agg.counts)
+            np.testing.assert_array_equal(means[u], agg.means)
+
 
 class TestTransformStep:
     def test_single_used_level_matches_pooled_mean(self):

@@ -4,7 +4,7 @@ import pytest
 from cmtrf.data import (
     SparseRatingDataset,
     SplitSpec,
-    align_to,
+    align,
     concat_rows,
     load_triplets,
     preprocess,
@@ -79,6 +79,12 @@ class TestLoadTriplets:
         again = load_triplets(out)
         np.testing.assert_array_equal(again.raw_values, ds.raw_values)
         np.testing.assert_array_equal(again.timestamps, ds.timestamps)
+
+    def test_labels_distinct_as_text_stay_distinct(self, tmp_path):
+        path = _write(tmp_path, ["007\t1\t4\t1", "7\t1\t2\t2", "8\t1\t3\t3"])
+        ds = load_triplets(path)
+        assert ds.n_users == 3
+        assert sorted(ds.user_labels.tolist()) == ["007", "7", "8"]
 
     def test_level_value_round_trip(self, tmp_path):
         path = _write(tmp_path, ["1\t1\t0.5\t1", "1\t2\t3.5\t2", "2\t1\t5\t3"])
@@ -228,6 +234,13 @@ class TestPreprocess:
             preprocess(ds, SplitSpec("chronological"))
 
 
+def _align_to(reference, other):
+    return align(
+        other, reference.user_labels, reference.item_labels,
+        reference.level_vocab,
+    )
+
+
 class TestAlignConcat:
     def test_align_to_reference(self, tmp_path):
         ref = load_triplets(
@@ -236,19 +249,51 @@ class TestAlignConcat:
         other = load_triplets(
             _write(tmp_path, ["2\t10\t4\t9", "1\t11\t2\t8"], name="o.tsv")
         )
-        aligned = align_to(ref, other)
+        aligned = _align_to(ref, other)
         assert aligned.n_users == ref.n_users
         np.testing.assert_array_equal(
             aligned.user_labels[aligned.users], [2, 1]
         )
 
     def test_align_rejects_unknown_label(self, tmp_path):
+        # Rows of a user the reference never saw are dropped and counted;
+        # a file with nothing left to score raises.
         ref = load_triplets(_write(tmp_path, ["1\t10\t4\t1", "2\t10\t2\t2"]))
         other = load_triplets(
             _write(tmp_path, ["7\t10\t4\t9", "1\t10\t2\t1"], name="o.tsv")
         )
-        with pytest.raises(DataError):
-            align_to(ref, other)
+        with pytest.warns(UserWarning, match="1 of 2 rows"):
+            aligned = _align_to(ref, other)
+        assert aligned.n_ratings == 1
+        assert aligned.user_labels[aligned.users[0]] == 1
+        alien = load_triplets(
+            _write(tmp_path, ["7\t10\t4\t9", "8\t10\t2\t1"], name="a.tsv")
+        )
+        with pytest.raises(DataError, match="no row"):
+            _align_to(ref, alien)
+
+    def test_align_matches_labels_by_text(self, tmp_path):
+        ref = load_triplets(
+            _write(tmp_path, ["1\t10\t4\t1", "1\t11\t2\t2", "2\t10\t2\t3"])
+        )
+        # One non-integer label keeps every label of this file a string.
+        other = load_triplets(
+            _write(tmp_path, ["1\t10\t2\t1", "u9\t11\t4\t2"], name="o.tsv")
+        )
+        with pytest.warns(UserWarning, match="1 of 2 rows"):
+            aligned = _align_to(ref, other)
+        assert aligned.user_labels[aligned.users].tolist() == [1]
+        assert aligned.item_labels[aligned.items].tolist() == [10]
+        assert aligned.raw_values.tolist() == [2.0]
+
+    @pytest.mark.parametrize("value", ["3.9999999", "4.0000001"])
+    def test_align_requires_exact_rating_values(self, tmp_path, value):
+        ref = load_triplets(_write(tmp_path, ["1\t10\t4\t1", "2\t10\t2\t2"]))
+        other = load_triplets(
+            _write(tmp_path, [f"1\t10\t{value}\t1", "2\t10\t2\t2"], name="o.tsv")
+        )
+        with pytest.raises(DataError, match="not in vocabulary"):
+            _align_to(ref, other)
 
     def test_concat_requires_shared_spaces(self):
         ds = _toy_dataset(seed=6)
