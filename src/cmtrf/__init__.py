@@ -10,10 +10,7 @@ piecewise-linear inverse of the learned transform.
 from .core import (
     ClusterState,
     FitResult,
-    LevelAggregate,
     TrainConfig,
-    aggregate_levels,
-    assign_clusters,
     fit,
     fit_1cmtrf,
     fit_kcmtrf,
@@ -61,7 +58,6 @@ __all__ = [
     "InverseTransform",
     "IsotonicProblem",
     "KL",
-    "LevelAggregate",
     "NumericalError",
     "RatingScaleTransform",
     "RegularizationConfig",
@@ -71,9 +67,7 @@ __all__ = [
     "SynthConfig",
     "SynthResult",
     "TrainConfig",
-    "aggregate_levels",
     "align",
-    "assign_clusters",
     "build_inverse",
     "by_name",
     "concat_rows",

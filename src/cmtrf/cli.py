@@ -40,12 +40,7 @@ from .data import (
 from .divergence import by_name
 from .errors import DataError, DomainError, NumericalError
 from .evaluate import mae, mse, predict_ratings
-from .factorization import (
-    RegularizationConfig,
-    load_model,
-    predict_scores,
-    save_model,
-)
+from .factorization import RegularizationConfig, load_model, save_model
 from .synthetic import SynthConfig, generate
 
 EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 1, 2, 3
@@ -145,14 +140,11 @@ def _train_config(args, rank: int, k: int | None, lambda_u, lambda_v):
     )
 
 
-def _result_predict(result: core.FitResult, ds: SparseRatingDataset):
+def _score(model, transforms, assignments, ds: SparseRatingDataset):
+    """MSE and MAE on an aligned dataset; `transforms` is None for MF."""
     pairs = np.column_stack([ds.users, ds.items])
-    if result.transforms is None:
-        scores = predict_scores(result.model, pairs)
-        return np.clip(scores, ds.level_vocab[0], ds.level_vocab[-1])
-    return predict_ratings(
-        result.model, result.transforms, pairs, ds.level_vocab, result.assignments
-    )
+    preds = predict_ratings(model, transforms, pairs, ds.level_vocab, assignments)
+    return mse(preds, ds.raw_values), mae(preds, ds.raw_values)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +336,9 @@ def cmd_train(args) -> int:
             "outer_iters": result.trace[-1]["iter"],
         }
         if test is not None:
-            preds = _result_predict(result, test)
-            row["mse"] = mse(preds, test.raw_values)
-            row["mae"] = mae(preds, test.raw_values)
+            row["mse"], row["mae"] = _score(
+                result.model, result.transforms, result.assignments, test
+            )
             row["n_scored"] = test.n_ratings
         rows.append(row)
         _report({**row, "wall_time_s": round(wall, 3)})
@@ -369,20 +361,9 @@ def cmd_eval(args) -> int:
         load_triplets(data_path, fmt=args.format),
         bundle["user_labels"], bundle["item_labels"], bundle["level_vocab"],
     )
-    pairs = np.column_stack([ds.users, ds.items])
-    vocab = ds.level_vocab
-    if bundle["transforms"] is None:
-        preds = np.clip(predict_scores(model, pairs), vocab[0], vocab[-1])
-    else:
-        assignments = bundle["assignments"]
-        preds = predict_ratings(
-            model,
-            np.asarray(bundle["transforms"], dtype=float),
-            pairs,
-            vocab,
-            None if assignments is None else np.asarray(assignments),
-        )
-    truths = ds.raw_values
+    scored_mse, scored_mae = _score(
+        model, bundle["transforms"], bundle["assignments"], ds
+    )
     row = {
         "dataset": os.path.basename(data_path),
         "mode": bundle["mode"],
@@ -391,8 +372,8 @@ def cmd_eval(args) -> int:
         "lambda_u": bundle["lambda_u"],
         "lambda_v": bundle["lambda_v"],
         "epsilon": bundle["epsilon"],
-        "mse": mse(preds, truths),
-        "mae": mae(preds, truths),
+        "mse": scored_mse,
+        "mae": scored_mae,
         "n_scored": int(ds.n_ratings),
     }
     os.makedirs(args.out, exist_ok=True)
@@ -469,7 +450,9 @@ def run_gridsearch(args):
         cfg = _train_config(args, rank, k, lam, lam)
         t0 = time.perf_counter()
         result = _fit_cell(train, cfg, ncache)
-        preds = _result_predict(result, val)
+        val_mse, val_mae = _score(
+            result.model, result.transforms, result.assignments, val
+        )
         row = {
             "key": key,
             "mode": args.mode,
@@ -478,8 +461,8 @@ def run_gridsearch(args):
             "d": rank,
             "epsilon": args.epsilon,
             "seed": args.seed,
-            "val_mse": mse(preds, val.raw_values),
-            "val_mae": mae(preds, val.raw_values),
+            "val_mse": val_mse,
+            "val_mae": val_mae,
             "objective": result.objective,
             "converged": result.converged,
             "stop_reason": result.stop_reason,
@@ -505,11 +488,13 @@ def run_gridsearch(args):
             args, best["d"], best["K"], best["lambda"], best["lambda"]
         )
         result = _fit_cell(full, cfg, {})
-        preds = _result_predict(result, test)
+        test_mse, test_mae = _score(
+            result.model, result.transforms, result.assignments, test
+        )
         test_row = {
             **{k: best[k] for k in ("mode", "lambda", "K", "d", "epsilon")},
-            "test_mse": mse(preds, test.raw_values),
-            "test_mae": mae(preds, test.raw_values),
+            "test_mse": test_mse,
+            "test_mae": test_mae,
         }
         _save_bundle(os.path.join(args.out, "winner"), result, full, cfg)
     return rows, best, test_row, inputs

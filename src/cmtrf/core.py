@@ -1,12 +1,14 @@
 """Alternating minimization drivers for scale-transform factorization.
 
-Three training modes share one loop: a transform step projects per-level
-prediction averages onto the margin-separated descending set (globally, per
-user, or per cluster of users), then a factorization step refits the factor
-rows against the transformed targets. The clustered mode adds a relocation
-step that reassigns each user to the cluster transform with the least
-divergence before the other two steps run. Every step is an exact or
-guarded descent step, so the regularized objective never increases.
+Four modes, one loop. A transform step projects per-level prediction
+averages onto the margin-separated descending set (globally, per user, or
+per cluster of users), then a factorization step refits the factor rows
+against the transformed targets. The clustered mode adds a relocation step
+that reassigns each user to the cluster transform with the least divergence
+before the other two steps run. MF is a frozen raw-vocabulary transform
+with no transform phase, so its loop runs factor sweeps only. Every step is
+an exact or guarded descent step, so the regularized objective never
+increases.
 """
 from __future__ import annotations
 
@@ -65,18 +67,6 @@ class TrainConfig:
 
 
 @dataclass
-class LevelAggregate:
-    """Counts and mean predicted scores per rating level (ascending)."""
-
-    counts: np.ndarray
-    means: np.ndarray
-
-    @property
-    def missing(self) -> np.ndarray:
-        return self.counts == 0
-
-
-@dataclass
 class ClusterState:
     """Cluster index per user plus one transform row per cluster."""
 
@@ -124,21 +114,6 @@ class FitResult:
 
     def trace_jsonl(self) -> str:
         return "\n".join(json.dumps(rec) for rec in self.trace) + "\n"
-
-
-def aggregate_levels(levels, scores, n_levels: int) -> LevelAggregate:
-    """Per-level counts and mean predicted scores for one user or cluster.
-
-    `levels` holds the 0-based rating level of each of the group's entries
-    and `scores` the matching predictions. Levels the group never used get
-    count zero and a zero placeholder mean.
-    """
-    levels = np.asarray(levels, dtype=np.int64)
-    scores = np.asarray(scores, dtype=float)
-    if levels.shape != scores.shape:
-        raise ValueError("levels and scores must be parallel arrays")
-    counts, means = _level_means(levels, scores, 1, n_levels)
-    return LevelAggregate(counts[0], means[0])
 
 
 def _level_means(keys, scores, n_groups: int, n_levels: int):
@@ -214,22 +189,6 @@ def _assignment_costs(counts, means, transforms, div) -> np.ndarray:
         terms = div.gap_terms(row[::-1], means)  # level order vs (N, L) means
         costs[:, k] = np.sum(counts * terms, axis=1)
     return costs
-
-
-def assign_clusters(
-    aggregates, transforms, div: DivergenceSpec = SQUARED_LOSS
-) -> np.ndarray:
-    """Assign each user to the least-divergence transform row.
-
-    `aggregates` is a sequence of per-user :class:`LevelAggregate` values
-    and `transforms` a (K, L) array of descending transform rows. The cost
-    of a row is the count-weighted divergence between its level values and
-    the user's per-level score means; ties resolve to the lowest index.
-    """
-    transforms = np.atleast_2d(np.asarray(transforms, dtype=float))
-    counts = np.vstack([agg.counts for agg in aggregates])
-    means = np.vstack([agg.means for agg in aggregates])
-    return _assignment_costs(counts, means, transforms, div).argmin(axis=1)
 
 
 def _targets(transforms, owner, data) -> np.ndarray:
@@ -351,6 +310,32 @@ def _base_rows(n_rows: int, n_levels: int, eps: float) -> np.ndarray:
     return np.tile(base, (n_rows, 1))
 
 
+def _relocate(data: _TrainData, transforms, scores, div, eps) -> np.ndarray:
+    """Assign each user to the least-divergence transform row.
+
+    Empty clusters are revived on the worst-fit users, each of whose own
+    optimal transform replaces an empty row of `transforms` in place; giving
+    a user its own optimal transform cannot increase the objective.
+    """
+    counts, means = data.grouped_aggregates(
+        np.arange(data.n_users), data.n_users, scores
+    )
+    costs = _assignment_costs(counts, means, transforms, div)
+    assignments = costs.argmin(axis=1)
+    present = np.bincount(assignments, minlength=transforms.shape[0])
+    if (present == 0).any():
+        assigned_cost = costs[np.arange(data.n_users), assignments]
+        taken: set[int] = set()
+        for k in np.flatnonzero(present == 0):
+            order = np.argsort(-assigned_cost)
+            u = next(int(i) for i in order if int(i) not in taken)
+            taken.add(u)
+            transforms[k] = _solve_transform_row(counts[u], means[u], eps, div)
+            assignments[u] = k
+            assigned_cost[u] = 0.0
+    return assignments
+
+
 def _run_alternating(
     data: _TrainData,
     config: TrainConfig,
@@ -360,8 +345,14 @@ def _run_alternating(
     model: FactorModel | None,
     relocate: bool,
 ) -> FitResult:
-    """The shared outer loop; `owner` maps users to transform rows."""
+    """The shared outer loop; `owner` maps users to transform rows.
+
+    In mode ``mf`` the transforms stay frozen: the loop skips the warm-up
+    factorization, the transform phase and its score pass, and the result
+    carries no transforms.
+    """
     div, reg, eps = config.div, config.reg, config.epsilon
+    transform_phase = config.mode != "mf"
     if model is None:
         model = init_model(data.n_users, data.n_items, config.rank, config.seed)
     trace = _Tracer()
@@ -377,74 +368,46 @@ def _run_alternating(
             index=data.index,
         )
 
-    trace.add(0, "init", objective(transforms, owner, model))
-    model = solve_factors(
-        data.users,
-        data.items,
-        _targets(transforms, owner, data),
-        model,
-        reg,
-        div,
-        sweeps=config.inner_sweeps,
-        index=data.index,
-    )
-    trace.add(0, "factorize", objective(transforms, owner, model))
-
-    stop_reason = "max_iters"
-    for it in range(1, config.outer_max_iters + 1):
-        prev_objective = trace.last
-        prev_assignments = None if assignments is None else assignments.copy()
-        scores = data.scores(model)
-
-        if relocate:
-            counts, means = data.grouped_aggregates(
-                np.arange(data.n_users), data.n_users, scores
-            )
-            costs = _assignment_costs(counts, means, transforms, div)
-            assignments = costs.argmin(axis=1)
-            # Revive empty clusters on the worst-fit users; giving a user
-            # its own optimal transform cannot increase the objective.
-            present = np.bincount(assignments, minlength=transforms.shape[0])
-            if (present == 0).any():
-                assigned_cost = costs[np.arange(data.n_users), assignments]
-                taken: set[int] = set()
-                for k in np.flatnonzero(present == 0):
-                    order = np.argsort(-assigned_cost)
-                    u = next(int(i) for i in order if int(i) not in taken)
-                    taken.add(u)
-                    transforms[k] = _solve_transform_row(
-                        counts[u], means[u], eps, div
-                    )
-                    assignments[u] = k
-                    assigned_cost[u] = 0.0
-            owner = assignments
-            moved = (
-                0
-                if prev_assignments is None
-                else int((assignments != prev_assignments).sum())
-            )
-            trace.add(
-                it, "assign", objective(transforms, owner, model), changes=moved
-            )
-
-        group_counts, group_means = data.grouped_aggregates(
-            owner, transforms.shape[0], scores
-        )
-        transforms = _transform_rows(
-            group_counts, group_means, eps, div, transforms
-        )
-        trace.add(it, "transform", objective(transforms, owner, model))
-
-        model = solve_factors(
+    def factorize(trs, own, mdl):
+        return solve_factors(
             data.users,
             data.items,
-            _targets(transforms, owner, data),
-            model,
+            _targets(trs, own, data),
+            mdl,
             reg,
             div,
             sweeps=config.inner_sweeps,
             index=data.index,
         )
+
+    trace.add(0, "init", objective(transforms, owner, model))
+    if transform_phase:
+        model = factorize(transforms, owner, model)
+        trace.add(0, "factorize", objective(transforms, owner, model))
+
+    stop_reason = "max_iters"
+    for it in range(1, config.outer_max_iters + 1):
+        prev_objective = trace.last
+        prev_assignments = None if assignments is None else assignments.copy()
+
+        if transform_phase:
+            scores = data.scores(model)
+            if relocate:
+                assignments = owner = _relocate(data, transforms, scores, div, eps)
+                moved = int((assignments != prev_assignments).sum())
+                trace.add(
+                    it, "assign", objective(transforms, owner, model),
+                    changes=moved,
+                )
+            group_counts, group_means = data.grouped_aggregates(
+                owner, transforms.shape[0], scores
+            )
+            transforms = _transform_rows(
+                group_counts, group_means, eps, div, transforms
+            )
+            trace.add(it, "transform", objective(transforms, owner, model))
+
+        model = factorize(transforms, owner, model)
         trace.add(it, "factorize", objective(transforms, owner, model))
 
         stable = (
@@ -462,7 +425,7 @@ def _run_alternating(
     return FitResult(
         mode=config.mode,
         model=model,
-        transforms=transforms,
+        transforms=transforms if transform_phase else None,
         assignments=None if assignments is None else assignments.copy(),
         epsilon=eps,
         trace=trace.records,
@@ -546,48 +509,10 @@ def fit_mf(
 ) -> FitResult:
     """Plain factorization of the raw rating values; the no-transform ablation."""
     data = _TrainData(dataset)
+    transforms = data.level_vocab[::-1][None, :]
+    owner = np.zeros(data.n_users, dtype=np.int64)
     cfg = replace(config, mode="mf")
-    targets = data.level_vocab[data.levels]
-    model = init if init is not None else init_model(
-        data.n_users, data.n_items, cfg.rank, cfg.seed
-    )
-    trace = _Tracer()
-    trace.add(
-        0,
-        "init",
-        regularized_objective(
-            data.users, data.items, targets, model, cfg.reg, cfg.div,
-            index=data.index,
-        ),
-    )
-    stop_reason = "max_iters"
-    for it in range(1, cfg.outer_max_iters + 1):
-        prev = trace.last
-        model = solve_factors(
-            data.users, data.items, targets, model, cfg.reg, cfg.div,
-            sweeps=cfg.inner_sweeps, index=data.index,
-        )
-        trace.add(
-            it,
-            "factorize",
-            regularized_objective(
-                data.users, data.items, targets, model, cfg.reg, cfg.div,
-                index=data.index,
-            ),
-        )
-        reason = trace.stop_reason("mf", prev, True, cfg.tol)
-        if reason is not None:
-            stop_reason = reason
-            break
-    return FitResult(
-        mode="mf",
-        model=model,
-        transforms=None,
-        assignments=None,
-        epsilon=cfg.epsilon,
-        trace=trace.records,
-        stop_reason=stop_reason,
-    )
+    return _run_alternating(data, cfg, owner, transforms, None, init, False)
 
 
 def fit(dataset: SparseRatingDataset, config: TrainConfig) -> FitResult:

@@ -114,6 +114,7 @@ class SplitSpec:
 
 
 _DELIMS = {"tsv": "\t", "csv": ","}
+WRITE_BLOCK_ROWS = 1 << 16
 
 
 def load_triplets(
@@ -215,19 +216,36 @@ def load_triplets(
     ).compact()
 
 
+def _number_text(values) -> list:
+    """Shortest round-trip text of each number; integral floats drop ``.0``."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return [str(v) for v in values.tolist()]
+    text = [repr(v) for v in values.tolist()]
+    return [t[:-2] if t.endswith(".0") else t for t in text]
+
+
 def write_triplets(dataset: SparseRatingDataset, path) -> None:
-    """Write the canonical tab-separated triplet format."""
-    values = dataset.raw_values
+    """Write the canonical tab-separated triplet format.
+
+    Ratings and timestamps are written as their shortest round-trip text, so
+    reading the file back gives every value exactly.
+    """
+    users = np.asarray([str(v) for v in dataset.user_labels], dtype=object)
+    items = np.asarray([str(v) for v in dataset.item_labels], dtype=object)
+    values = np.asarray(_number_text(dataset.level_vocab), dtype=object)
     with open(path, "w") as fh:
-        for row in range(dataset.n_ratings):
-            fields = [
-                str(dataset.user_labels[dataset.users[row]]),
-                str(dataset.item_labels[dataset.items[row]]),
-                f"{values[row]:g}",
+        # Bounded blocks keep the text of a large file out of memory.
+        for start in range(0, dataset.n_ratings, WRITE_BLOCK_ROWS):
+            rows = slice(start, start + WRITE_BLOCK_ROWS)
+            columns = [
+                users[dataset.users[rows]].tolist(),
+                items[dataset.items[rows]].tolist(),
+                values[dataset.levels[rows]].tolist(),
             ]
             if dataset.timestamps is not None:
-                fields.append(f"{dataset.timestamps[row]:g}")
-            fh.write("\t".join(fields) + "\n")
+                columns.append(_number_text(dataset.timestamps[rows]))
+            fh.writelines("\t".join(row) + "\n" for row in zip(*columns))
 
 
 def _levels_of(level_vocab, values) -> np.ndarray:

@@ -74,15 +74,19 @@ def predict_ratings(
 
     `transforms` is a (T, L) array of descending transform rows: one shared
     row, one per user, or one per cluster with `assignments` routing users
-    to rows.
+    to rows. ``None`` means the plain-MF ablation, which has no transform:
+    its scores are clipped to ``[level_vocab[0], level_vocab[-1]]``.
     """
+    pairs = np.asarray(pairs, dtype=np.int64)
+    scores = predict_scores(model, pairs)
+    if transforms is None:
+        vocab = np.asarray(level_vocab, dtype=float)
+        return np.clip(scores, vocab[0], vocab[-1])
     if isinstance(transforms, RatingScaleTransform):
         transforms = transforms.values[None, :]
     transforms = np.asarray(transforms, dtype=float)
     if transforms.ndim == 1:
         transforms = transforms[None, :]
-    pairs = np.asarray(pairs, dtype=np.int64)
-    scores = predict_scores(model, pairs)
 
     n_rows = transforms.shape[0]
     if assignments is not None:

@@ -14,10 +14,17 @@ systems exactly. Neither shares any code with the library's solver.
 `ridge_als_loop` is the per-row ridge ALS that the library's stacked
 solve replaced: one normal-equation solve per observed row, rows visited in
 order, users first and then items in each sweep.
+
+`mf_loop` is the plain-MF outer loop that `fit_mf` ran before the ablation
+went through the shared alternating loop: factor sweeps against the raw
+rating values, with the same trace and stop rule.
 """
 import itertools
+from dataclasses import replace
 
 import numpy as np
+
+from cmtrf import core
 
 
 def _design(n):
@@ -115,3 +122,43 @@ def ridge_als_loop(users, items, targets, init, reg, sweeps=1, floor=1e-10):
                     other[other_keys[ids]], targets[ids], lam, floor
                 )
     return U, V
+
+
+def mf_loop(dataset, config, init=None):
+    """Plain factorization of the raw rating values, as its own outer loop."""
+    data = core._TrainData(dataset)
+    cfg = replace(config, mode="mf")
+    targets = data.level_vocab[data.levels]
+    model = init if init is not None else core.init_model(
+        data.n_users, data.n_items, cfg.rank, cfg.seed
+    )
+
+    def objective(mdl):
+        return core.regularized_objective(
+            data.users, data.items, targets, mdl, cfg.reg, cfg.div,
+            index=data.index,
+        )
+
+    trace = core._Tracer()
+    trace.add(0, "init", objective(model))
+    stop_reason = "max_iters"
+    for it in range(1, cfg.outer_max_iters + 1):
+        prev = trace.last
+        model = core.solve_factors(
+            data.users, data.items, targets, model, cfg.reg, cfg.div,
+            sweeps=cfg.inner_sweeps, index=data.index,
+        )
+        trace.add(it, "factorize", objective(model))
+        reason = trace.stop_reason("mf", prev, True, cfg.tol)
+        if reason is not None:
+            stop_reason = reason
+            break
+    return core.FitResult(
+        mode="mf",
+        model=model,
+        transforms=None,
+        assignments=None,
+        epsilon=cfg.epsilon,
+        trace=trace.records,
+        stop_reason=stop_reason,
+    )

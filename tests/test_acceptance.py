@@ -29,8 +29,8 @@ from cmtrf.data import (
     split,
 )
 from cmtrf.divergence import GID, SQUARED_LOSS
-from cmtrf.evaluate import build_inverse, mae, mse, predict_ratings
-from cmtrf.factorization import RegularizationConfig, predict_scores
+from cmtrf.evaluate import build_inverse
+from cmtrf.factorization import RegularizationConfig
 from cmtrf.isotonic import (
     IsotonicProblem,
     RatingScaleTransform,
@@ -68,16 +68,7 @@ def _fit_cell(train, mode, k, rank, lam, seed, outer, tol=1e-4, ncache=None):
 
 
 def _test_metrics(result, part):
-    pairs = np.column_stack([part.users, part.items])
-    if result.transforms is None:
-        lo, hi = part.level_vocab[0], part.level_vocab[-1]
-        preds = np.clip(predict_scores(result.model, pairs), lo, hi)
-    else:
-        preds = predict_ratings(
-            result.model, result.transforms, pairs, part.level_vocab,
-            result.assignments,
-        )
-    return mse(preds, part.raw_values), mae(preds, part.raw_values)
+    return cli._score(result.model, result.transforms, result.assignments, part)
 
 
 def test_criterion_1_isotonic_oracle_equivalence():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cmtrf.cli import main
+from cmtrf.data import load_triplets
 
 
 def _run(*argv):
@@ -68,6 +69,34 @@ class TestPrepare:
         summary = json.loads((out / "split.json").read_text())
         assert summary["n_train"] + summary["n_val"] == 80
         assert summary["n_test"] == 20
+
+    def test_chronological_round_trip_keeps_every_value(self, tmp_path):
+        # Shuffled nine-digit timestamps one second apart and a rating just
+        # below a vocabulary value must all come back exactly.
+        n = 50
+        stamps = 874724710 + np.random.default_rng(0).permutation(n)
+        ratings = [float(1 + r % 5) for r in range(n)]
+        ratings[3] = 3.9999999
+        rows = [(r % 5, r // 5, ratings[r], int(stamps[r])) for r in range(n)]
+        src = tmp_path / "ts.tsv"
+        src.write_text("".join(f"{u}\t{i}\t{v}\t{t}\n" for u, i, v, t in rows))
+        out = tmp_path / "chrono"
+        assert _run(
+            "prepare", src, "--split", "chronological", "--skip-preprocess",
+            "--out", out,
+        ) == 0
+        # Blocks by time rank (36 train, 4 val, 10 test), rows in input order.
+        rank = np.argsort(np.argsort(stamps))
+        bounds = {"train": (0, 36), "val": (36, 40), "test": (40, n)}
+        for name, (lo, hi) in bounds.items():
+            ds = load_triplets(out / f"{name}.tsv")
+            reloaded = list(zip(
+                ds.user_labels[ds.users].tolist(),
+                ds.item_labels[ds.items].tolist(),
+                ds.raw_values.tolist(),
+                ds.timestamps.tolist(),
+            ))
+            assert reloaded == [row for row, k in zip(rows, rank) if lo <= k < hi]
 
     def test_chronological_without_timestamps_fails(self, tmp_path):
         src = tmp_path / "nots.tsv"
@@ -177,10 +206,15 @@ class TestTrain:
 
 
 class TestEval:
-    def test_metrics_match_direct_evaluation(self, tmp_path, prepared):
+    @pytest.mark.parametrize(
+        "mode", [["mf"], ["kcmtrf", "--k", 2]], ids=["mf", "kcmtrf"]
+    )
+    def test_metrics_match_direct_evaluation(self, tmp_path, prepared, mode):
+        # A saved bundle and the in-memory fit are scored by one path.
         train_out = tmp_path / "m"
         assert _run(
-            "train", "--train", prepared / "train.tsv", "--mode", "1cmtrf",
+            "train", "--train", prepared / "train.tsv",
+            "--test", prepared / "test.tsv", "--mode", *mode,
             "--d", 2, "--max-outer", 10, "--out", train_out,
         ) == 0
         eval_out = tmp_path / "e"
@@ -189,6 +223,10 @@ class TestEval:
             "--out", eval_out,
         ) == 0
         row = json.loads((eval_out / "metrics.json").read_text())
+        trained = json.loads((train_out / "metrics.json").read_text())[0]
+        assert row["mse"] == trained["mse"]
+        assert row["mae"] == trained["mae"]
+        assert row["n_scored"] == trained["n_scored"]
         assert 0 <= row["mse"] <= 16
         assert row["mae"] <= np.sqrt(row["mse"]) + 1e-9
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from oracles import ridge_als_loop
+from oracles import mf_loop, ridge_als_loop
 
 from cmtrf import core
 from cmtrf.core import (
     ClusterState,
     FitResult,
-    aggregate_levels,
-    assign_clusters,
+    _assignment_costs,
+    _level_means,
     fit_1cmtrf,
     fit_kcmtrf,
     fit_mf,
@@ -18,8 +18,9 @@ from cmtrf.core import (
 from cmtrf.data import SparseRatingDataset
 from cmtrf.divergence import SQUARED_LOSS
 from cmtrf.evaluate import mse, predict_ratings
-from cmtrf.factorization import FactorModel
+from cmtrf.factorization import FactorModel, RegularizationConfig
 from cmtrf.isotonic import RatingScaleTransform
+from cmtrf.synthetic import SynthConfig, generate
 from conftest import rank2_integer_dataset, small_config
 
 DESCENT_TOL = 1e-9
@@ -37,35 +38,43 @@ def _assert_feasible(result):
         RatingScaleTransform(row, result.epsilon)  # raises on violation
 
 
+def _one_group(levels, scores, n_levels):
+    """Counts and means of one group's entries, both (n_levels,)."""
+    counts, means = _level_means(
+        np.asarray(levels, dtype=np.int64), np.asarray(scores, dtype=float),
+        1, n_levels,
+    )
+    return counts[0], means[0]
+
+
 class TestAggregateLevels:
     def test_counts_and_means(self):
         # Items rated 3, 3, 5 (levels 2, 2, 4) with scores 2.0, 4.0, 4.5.
-        agg = aggregate_levels([2, 2, 4], [2.0, 4.0, 4.5], 5)
-        assert agg.counts[2] == 2
-        assert agg.means[2] == pytest.approx(3.0)
-        assert agg.counts[4] == 1
-        assert agg.means[4] == pytest.approx(4.5)
-        np.testing.assert_array_equal(agg.missing, [True, True, False, True, False])
+        counts, means = _one_group([2, 2, 4], [2.0, 4.0, 4.5], 5)
+        assert counts[2] == 2
+        assert means[2] == pytest.approx(3.0)
+        assert counts[4] == 1
+        assert means[4] == pytest.approx(4.5)
+        np.testing.assert_array_equal(counts == 0, [True, True, False, True, False])
+        np.testing.assert_array_equal(means[counts == 0], 0.0)
 
     def test_empty_group(self):
-        agg = aggregate_levels([], [], 5)
-        assert agg.counts.sum() == 0
-        assert agg.missing.all()
+        counts, means = _one_group([], [], 5)
+        assert counts.sum() == 0
+        np.testing.assert_array_equal(means, np.zeros(5))
 
     def test_pooled_cluster_matches_union(self):
         one = ([2, 2, 4], [2.0, 4.0, 4.5])
-        pooled = aggregate_levels(one[0] * 2, one[1] * 2, 5)
-        assert pooled.counts[2] == 4
-        assert pooled.means[2] == pytest.approx(3.0)
+        counts, means = _one_group(one[0] * 2, one[1] * 2, 5)
+        assert counts[2] == 4
+        assert means[2] == pytest.approx(3.0)
         # Brute-force recomputation over the union of both users' items.
         both_levels = np.asarray(one[0] * 2)
         both_scores = np.asarray(one[1] * 2)
         for level in range(5):
             sel = both_levels == level
             if sel.any():
-                assert pooled.means[level] == pytest.approx(
-                    both_scores[sel].mean()
-                )
+                assert means[level] == pytest.approx(both_scores[sel].mean())
 
     def test_grouped_rows_equal_per_user_aggregates(self, sd2_small):
         data = core._TrainData(sd2_small)
@@ -74,10 +83,16 @@ class TestAggregateLevels:
             np.arange(data.n_users), data.n_users, scores
         )
         for u in range(data.n_users):
-            rows = data.users == u
-            agg = aggregate_levels(data.levels[rows], scores[rows], data.n_levels)
-            np.testing.assert_array_equal(counts[u], agg.counts)
-            np.testing.assert_array_equal(means[u], agg.means)
+            for level in range(data.n_levels):
+                sel = (data.users == u) & (data.levels == level)
+                assert counts[u, level] == sel.sum()
+                if sel.any():
+                    # A running sum against numpy's pairwise one: a few ulp.
+                    assert means[u, level] == pytest.approx(
+                        np.mean(scores[sel]), rel=1e-14
+                    )
+                else:
+                    assert means[u, level] == 0.0
 
 
 class TestTransformStep:
@@ -204,27 +219,38 @@ class TestFitN:
         assert result.transforms.shape == (50, 5)
 
 
+def _assign(groups, transforms, n_levels):
+    """Least-cost transform row per group of (levels, scores) entries."""
+    keys = np.concatenate(
+        [g * n_levels + np.asarray(lv) for g, (lv, _) in enumerate(groups)]
+    )
+    scores = np.concatenate([np.asarray(sc, dtype=float) for _, sc in groups])
+    counts, means = _level_means(keys, scores, len(groups), n_levels)
+    costs = _assignment_costs(
+        counts, means, np.asarray(transforms, dtype=float), SQUARED_LOSS
+    )
+    return costs.argmin(1)
+
+
 class TestAssignClusters:
     def test_single_cluster(self):
-        aggs = [aggregate_levels([0, 1], [1.0, 2.0], 2) for _ in range(4)]
-        out = assign_clusters(aggs, np.array([[2.0, 1.0]]))
+        groups = [([0, 1], [1.0, 2.0])] * 4
+        out = _assign(groups, [[2.0, 1.0]], 2)
         np.testing.assert_array_equal(out, [0, 0, 0, 0])
 
     def test_top_level_reads_first_component(self):
         # One rating at the top of a 2-level scale, predicted score 3.8.
-        agg = aggregate_levels([1], [3.8], 2)
         candidates = np.array([[2.0, 1.0], [4.0, 0.5]])
         costs_a = 0.5 * (2.0 - 3.8) ** 2
         costs_b = 0.5 * (4.0 - 3.8) ** 2
         assert costs_a == pytest.approx(1.62)
         assert costs_b == pytest.approx(0.02, abs=1e-12)
-        out = assign_clusters([agg], candidates)
+        out = _assign([([1], [3.8])], candidates, 2)
         assert out[0] == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        agg = aggregate_levels([0, 1], [1.0, 2.0], 2)
         same = np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0]])
-        assert assign_clusters([agg], same)[0] == 0
+        assert _assign([([0, 1], [1.0, 2.0])], same, 2)[0] == 0
 
 
 def _fake_n_result(transform_rows):
@@ -412,12 +438,44 @@ class TestNonSquaredLoop:
         assert result.transforms.min() > 0
 
 
+@pytest.fixture(scope="module")
+def sd2_cell():
+    """The acceptance cell's shape: sd2, 300x200, density 0.2."""
+    return generate(
+        SynthConfig(n_users=300, n_items=200, rank=5, kind="sd2",
+                    density=0.2, seed=0)
+    ).dataset
+
+
 class TestFitMF:
     def test_descent_and_convergence(self, sd1_small):
         result = fit_mf(sd1_small, small_config(mode="mf"))
         _assert_monotone(result)
         assert result.transforms is None
         assert result.converged
+
+    @pytest.mark.parametrize(
+        "lam, cap, stop", [(0.01, 300, "max_iters"), (1.0, 300, "tol")]
+    )
+    def test_shared_loop_reproduces_own_loop(self, sd2_cell, lam, cap, stop):
+        cfg = small_config(
+            mode="mf", rank=5, reg=RegularizationConfig(lam, lam),
+            outer_max_iters=cap, tol=1e-6,
+        )
+        folded, looped = fit_mf(sd2_cell, cfg), mf_loop(sd2_cell, cfg)
+        assert folded.stop_reason == looped.stop_reason == stop
+        for attr in ("user_factors", "item_factors"):
+            assert np.array_equal(
+                getattr(folded.model, attr), getattr(looped.model, attr)
+            )
+        assert np.array_equal(
+            folded.objective_values(), looped.objective_values()
+        )
+        phases = [(rec["iter"], rec["phase"]) for rec in folded.trace]
+        assert phases == [(rec["iter"], rec["phase"]) for rec in looped.trace]
+        assert phases[0] == (0, "init")
+        assert all(phase == "factorize" for _, phase in phases[1:])
+        assert folded.transforms is None and folded.assignments is None
 
 
 class TestStopReason:

@@ -106,6 +106,14 @@ class TestPredictRatings:
         out = predict_ratings(model, transforms, [(0, 0)], np.arange(1.0, 6.0))
         assert out[0] == pytest.approx(3.0)  # knot of level index 2
 
+    def test_no_transform_clips_scores_to_the_scale(self):
+        # Scores 4.2, 6.0 and 2.0 on a 2.5-5 scale: the plain-MF ablation.
+        out = predict_ratings(
+            self._model(), None, [(0, 0), (1, 1), (2, 0)],
+            np.array([2.5, 3.0, 4.0, 5.0]),
+        )
+        np.testing.assert_array_equal(out, [4.2, 5.0, 2.5])
+
     def test_missing_user_errors(self):
         model = self._model()
         with pytest.raises(IndexError):
