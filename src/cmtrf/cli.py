@@ -151,10 +151,6 @@ def _score(model, transforms, assignments, ds: SparseRatingDataset):
 # model bundles (a trained run on disk)
 
 
-def _label_list(labels: np.ndarray) -> list:
-    return [v.item() if isinstance(v, np.generic) else v for v in labels]
-
-
 def _save_bundle(out_dir, result: core.FitResult, train: SparseRatingDataset, cfg):
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.txt")
@@ -172,8 +168,8 @@ def _save_bundle(out_dir, result: core.FitResult, train: SparseRatingDataset, cf
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "level_vocab": train.level_vocab,
-        "user_labels": _label_list(train.user_labels),
-        "item_labels": _label_list(train.item_labels),
+        "user_labels": train.user_labels,
+        "item_labels": train.item_labels,
         "transforms": result.transforms,
         "assignments": result.assignments,
     }

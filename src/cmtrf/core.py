@@ -134,8 +134,8 @@ class _TrainData:
     """Flat triplet arrays plus cached level and row bookkeeping."""
 
     def __init__(self, dataset: SparseRatingDataset):
-        if dataset.n_ratings == 0:
-            raise DataError("cannot train on an empty dataset")
+        if dataset.n_levels < 2:
+            raise DataError("rating scale needs at least two distinct levels")
         self.users = dataset.users
         self.items = dataset.items
         self.levels = dataset.levels

@@ -19,6 +19,13 @@ from .errors import DataError
 
 @dataclass
 class SparseRatingDataset:
+    """Rating triplets; construction checks the rules every dataset keeps.
+
+    These are: at least one rating, a strictly ascending vocabulary, levels
+    inside it, and no repeated (user, item) pair. Training's own rule, two
+    distinct levels, is checked by `core._TrainData`.
+    """
+
     users: np.ndarray  # dense user ids
     items: np.ndarray  # dense item ids
     levels: np.ndarray  # 0-based index into level_vocab
@@ -34,14 +41,12 @@ class SparseRatingDataset:
         self.level_vocab = np.asarray(self.level_vocab, dtype=float)
         if self.n_ratings == 0:
             raise DataError("dataset has no ratings")
-        if self.level_vocab.size < 2:
-            raise DataError("rating scale needs at least two distinct levels")
         if np.any(np.diff(self.level_vocab) <= 0):
             raise DataError("level vocabulary must be strictly ascending")
         if self.levels.min() < 0 or self.levels.max() >= self.level_vocab.size:
             raise DataError("level index out of vocabulary range")
-        pairs = self.users * (self.items.max() + 1) + self.items
-        if np.unique(pairs).size != pairs.size:
+        pairs = np.sort(self.users * (self.items.max() + 1) + self.items)
+        if np.any(pairs[1:] == pairs[:-1]):
             raise DataError("duplicate (user, item) pairs")
 
     @property
@@ -64,10 +69,6 @@ class SparseRatingDataset:
     def raw_values(self) -> np.ndarray:
         """Raw rating value per triplet."""
         return self.level_vocab[self.levels]
-
-    def level_of_value(self, value: float) -> int:
-        """0-based vocabulary index of a raw rating value."""
-        return int(_levels_of(self.level_vocab, [value])[0])
 
     def subset(self, index) -> "SparseRatingDataset":
         """Row subset sharing this dataset's id spaces and vocabulary."""
@@ -188,32 +189,29 @@ def load_triplets(
     user_labels, users = _encode(raw_users)
     item_labels, items = _encode(raw_items)
     values = np.asarray(ratings, dtype=float)
+    stamps = np.asarray(stamps, dtype=float) if stamps else None
 
     pair_key = users.astype(np.int64) * (items.max() + 1) + items
-    last_of_pair = {}
-    for row, key in enumerate(pair_key):
-        last_of_pair[key] = row
-    if len(last_of_pair) < pair_key.size:
+    # The first occurrence of a key in the reversed rows is its last one.
+    _, last = np.unique(pair_key[::-1], return_index=True)
+    if last.size < pair_key.size:
         warnings.warn(
-            f"{pair_key.size - len(last_of_pair)} duplicate (user, item) "
+            f"{pair_key.size - last.size} duplicate (user, item) "
             "pairs; keeping the last occurrence of each"
         )
-        keep = np.sort(np.fromiter(last_of_pair.values(), dtype=np.int64))
+        keep = np.sort(pair_key.size - 1 - last)
         users, items, values = users[keep], items[keep], values[keep]
-        if stamps:
-            stamps = [stamps[k] for k in keep]
+        if stamps is not None:
+            stamps = stamps[keep]
 
     vocab = np.unique(values)
     levels = np.searchsorted(vocab, values)
-    if stamps:
-        ts = np.asarray(stamps)
-        timestamps = ts.astype(np.int64) if np.all(ts == np.round(ts)) else ts
-    else:
-        timestamps = None
-
+    if stamps is not None and np.all(stamps == np.round(stamps)):
+        stamps = stamps.astype(np.int64)
+    # Every label numbered by _encode keeps a row, so the ids are compact.
     return SparseRatingDataset(
-        users, items, levels, timestamps, vocab, user_labels, item_labels
-    ).compact()
+        users, items, levels, stamps, vocab, user_labels, item_labels
+    )
 
 
 def _number_text(values) -> list:
@@ -317,12 +315,10 @@ def concat_rows(
         or not np.array_equal(a.level_vocab, b.level_vocab)
     ):
         raise DataError("datasets must share id spaces and vocabulary")
-    if (a.timestamps is None) != (b.timestamps is None):
-        timestamps = None
-    elif a.timestamps is None:
-        timestamps = None
-    else:
-        timestamps = np.concatenate([a.timestamps, b.timestamps])
+    timestamps = (
+        None if a.timestamps is None or b.timestamps is None
+        else np.concatenate([a.timestamps, b.timestamps])
+    )
     return SparseRatingDataset(
         np.concatenate([a.users, b.users]),
         np.concatenate([a.items, b.items]),

@@ -102,11 +102,11 @@ def predict_ratings(
             "cluster assignments are required"
         )
 
+    order = np.argsort(owner, kind="stable")
+    rows, starts = np.unique(owner[order], return_index=True)
     out = np.empty_like(scores)
-    for row in np.unique(owner):
-        inverse = build_inverse(transforms[row], level_vocab)
-        mask = owner == row
-        out[mask] = inverse(scores[mask])
+    for row, idx in zip(rows, np.split(order, starts[1:])):
+        out[idx] = build_inverse(transforms[row], level_vocab)(scores[idx])
     return out
 
 

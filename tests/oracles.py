@@ -18,6 +18,9 @@ order, users first and then items in each sweep.
 `mf_loop` is the plain-MF outer loop that `fit_mf` ran before the ablation
 went through the shared alternating loop: factor sweeps against the raw
 rating values, with the same trace and stop rule.
+
+`predict_loop` is the per-owner prediction loop that `predict_ratings` ran
+before it grouped pairs with one sort: a full-length mask per owner.
 """
 import itertools
 from dataclasses import replace
@@ -25,6 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from cmtrf import core
+from cmtrf.evaluate import build_inverse
 
 
 def _design(n):
@@ -162,3 +166,13 @@ def mf_loop(dataset, config, init=None):
         trace=trace.records,
         stop_reason=stop_reason,
     )
+
+
+def predict_loop(scores, transforms, owner, level_vocab):
+    """Each pair's score through its owner's inverse, one mask per owner."""
+    out = np.empty_like(scores)
+    for row in np.unique(owner):
+        inverse = build_inverse(transforms[row], level_vocab)
+        mask = owner == row
+        out[mask] = inverse(scores[mask])
+    return out

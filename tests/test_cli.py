@@ -304,6 +304,55 @@ class TestHeldOut:
         ) == 2
 
 
+    def _one_level(self, tmp_path, prepared):
+        # Known test rows that all carry the first row's rating value.
+        lines = (prepared / "test.tsv").read_text().splitlines()[:4]
+        value = lines[0].split("\t")[2]
+        rows = []
+        for line in lines:
+            fields = line.split("\t")
+            fields[2] = value
+            rows.append("\t".join(fields))
+        path = tmp_path / "one_level.tsv"
+        path.write_text("\n".join(rows) + "\n")
+        return path, len(rows)
+
+    def test_one_level_held_out_file_is_scored(self, tmp_path, prepared):
+        held_out, n_rows = self._one_level(tmp_path, prepared)
+        assert _run(
+            "train", "--train", prepared / "train.tsv", "--test", held_out,
+            "--mode", "1cmtrf", "--d", 2, "--max-outer", 2,
+            "--out", tmp_path / "t",
+        ) == 0
+        row = json.loads((tmp_path / "t" / "metrics.json").read_text())[0]
+        assert row["n_scored"] == n_rows
+        assert _run(
+            "eval", "--model", tmp_path / "t" / "d2", "--data", held_out,
+            "--out", tmp_path / "e",
+        ) == 0
+        scored = json.loads((tmp_path / "e" / "metrics.json").read_text())
+        assert scored["n_scored"] == n_rows
+        assert scored["mse"] == row["mse"]
+
+    def test_one_level_val_file_in_gridsearch(self, tmp_path, prepared):
+        val, _ = self._one_level(tmp_path, prepared)
+        assert _run(
+            "gridsearch", "--train", prepared / "train.tsv", "--val", val,
+            "--mode", "1cmtrf", "--lambdas", "0.1", "--ds", 2,
+            "--max-outer", 2, "--out", tmp_path / "g",
+        ) == 0
+
+    def test_one_level_train_file_is_data_error(
+        self, tmp_path, prepared, capsys
+    ):
+        train, _ = self._one_level(tmp_path, prepared)
+        assert _run(
+            "train", "--train", train, "--mode", "1cmtrf", "--d", 2,
+            "--max-outer", 2, "--out", tmp_path / "t",
+        ) == 2
+        assert "two distinct levels" in capsys.readouterr().err
+
+
 class TestGridsearch:
     def _grid(self, tmp_path, prepared, out, **kw):
         args = [

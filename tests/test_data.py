@@ -4,6 +4,7 @@ import pytest
 from cmtrf.data import (
     SparseRatingDataset,
     SplitSpec,
+    _levels_of,
     align,
     concat_rows,
     load_triplets,
@@ -37,7 +38,7 @@ class TestLoadTriplets:
         ds = load_triplets(_write(tmp_path, rows))
         assert ds.n_levels == 10
         # 3.5 sits at the 7th position of the ascending vocabulary.
-        assert ds.level_of_value(3.5) == 6
+        assert _levels_of(ds.level_vocab, [3.5])[0] == 6
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(DataError):
@@ -63,6 +64,18 @@ class TestLoadTriplets:
         assert ds.n_ratings == 2
         row = np.flatnonzero(ds.user_labels[ds.users] == 1)[0]
         assert ds.raw_values[row] == 2.0
+
+    def test_pair_repeated_three_times_keeps_last(self, tmp_path):
+        path = _write(tmp_path, [
+            "1\t10\t1\t1", "2\t10\t2\t2", "1\t10\t3\t3",
+            "3\t11\t4\t4", "1\t10\t5\t5", "2\t11\t1\t6",
+        ])
+        with pytest.warns(UserWarning, match="^2 duplicate"):
+            ds = load_triplets(path)
+        # The surviving rows stay in file order.
+        np.testing.assert_array_equal(ds.timestamps, [2, 4, 5, 6])
+        np.testing.assert_array_equal(ds.user_labels[ds.users], [2, 3, 1, 2])
+        np.testing.assert_array_equal(ds.raw_values, [2.0, 4.0, 5.0, 1.0])
 
     def test_csv_and_column_order(self, tmp_path):
         path = _write(tmp_path, ["4,1,10,100", "2,1,11,90"], name="r.csv")
@@ -90,7 +103,8 @@ class TestLoadTriplets:
         path = _write(tmp_path, ["1\t1\t0.5\t1", "1\t2\t3.5\t2", "2\t1\t5\t3"])
         ds = load_triplets(path)
         for value in ds.level_vocab:
-            assert ds.level_vocab[ds.level_of_value(value)] == value
+            level = _levels_of(ds.level_vocab, [value])[0]
+            assert ds.level_vocab[level] == value
 
 
 def _toy_dataset(n=40, seed=0, with_ts=True):
@@ -105,6 +119,21 @@ def _toy_dataset(n=40, seed=0, with_ts=True):
         users, items, levels, ts,
         np.arange(1.0, 6.0), np.arange(8), np.arange(10),
     )
+
+
+class TestInvariants:
+    def test_repeated_pair_rejected(self):
+        with pytest.raises(DataError, match="duplicate"):
+            SparseRatingDataset(
+                [0, 1, 0], [2, 0, 2], [0, 1, 1], None,
+                [1.0, 2.0], np.arange(2), np.arange(3),
+            )
+
+    def test_one_level_accepted(self):
+        # Held-out data may use any subset of a model's rating values.
+        ds = SparseRatingDataset([0, 1], [0, 0], [0, 0], None, [4.0],
+                                 np.arange(2), np.arange(1))
+        assert ds.n_levels == 1
 
 
 class TestSplit:
@@ -300,3 +329,9 @@ class TestAlignConcat:
         train, _, test = split(ds, SplitSpec("uniform", seed=1))
         merged = concat_rows(train, test)
         assert merged.n_ratings == train.n_ratings + test.n_ratings
+
+    def test_concat_of_overlapping_rows_raises(self):
+        ds = _toy_dataset(seed=6)
+        train, _, _ = split(ds, SplitSpec("uniform", seed=1))
+        with pytest.raises(DataError, match="duplicate"):
+            concat_rows(train, train.subset([0]))

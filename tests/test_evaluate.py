@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from oracles import predict_loop
 
 from cmtrf.evaluate import build_inverse, mae, mse, predict_ratings
-from cmtrf.factorization import FactorModel
+from cmtrf.factorization import FactorModel, predict_scores
 from cmtrf.isotonic import RatingScaleTransform
 
 
@@ -113,6 +114,36 @@ class TestPredictRatings:
             np.array([2.5, 3.0, 4.0, 5.0]),
         )
         np.testing.assert_array_equal(out, [4.2, 5.0, 2.5])
+
+    @pytest.mark.parametrize("routing", ["per_user", "clusters", "tied"])
+    def test_matches_per_owner_loop(self, routing):
+        # Seeded factors and descending transform rows; "tied" gives some
+        # rows equal adjacent values (a zero margin), whose knots collapse.
+        rng = np.random.default_rng(3)
+        n_users, n_items, n_levels = 60, 40, 5
+        model = FactorModel(
+            rng.normal(size=(n_users, 3)), rng.normal(size=(n_items, 3))
+        )
+        pairs = np.column_stack(
+            [rng.integers(0, n_users, 2000), rng.integers(0, n_items, 2000)]
+        )
+        vocab = np.arange(1.0, 1.0 + n_levels)
+        n_rows = 7 if routing == "clusters" else n_users
+        steps = rng.uniform(0.1, 1.0, size=(n_rows, n_levels))
+        if routing == "tied":
+            steps[rng.random(steps.shape) < 0.3] = 0.0
+        transforms = np.cumsum(steps, axis=1)[:, ::-1] - 2.5
+        if routing == "clusters":
+            assignments = rng.integers(0, n_rows, n_users)
+            owner = assignments[pairs[:, 0]]
+        else:
+            assignments = None
+            owner = pairs[:, 0]
+        got = predict_ratings(model, transforms, pairs, vocab, assignments)
+        want = predict_loop(
+            predict_scores(model, pairs), transforms, owner, vocab
+        )
+        np.testing.assert_array_equal(got, want)
 
     def test_missing_user_errors(self):
         model = self._model()
