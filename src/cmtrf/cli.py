@@ -405,7 +405,7 @@ def _cell_key(mode, lam, k, rank, args, input_hashes) -> str:
 
 
 def run_gridsearch(args):
-    """The gridsearch engine; returns (rows, best row, test row or None)."""
+    """The gridsearch engine; returns (rows, best row, test row or None, inputs)."""
     train_path = _resolve(args.train)
     val_path = _resolve(args.val)
     train = load_triplets(train_path, fmt=args.format)
@@ -535,8 +535,8 @@ def cmd_gridsearch(args) -> int:
 # argument wiring
 
 
-def _add_train_flags(p, mode_choices=("1cmtrf", "ncmtrf", "kcmtrf", "mf")):
-    p.add_argument("--mode", choices=mode_choices, default="kcmtrf")
+def _add_train_flags(p):
+    p.add_argument("--mode", choices=core.MODES, default="kcmtrf")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--divergence", default="squared_loss")
     p.add_argument("--seed", type=int, default=0)

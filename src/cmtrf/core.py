@@ -36,6 +36,8 @@ MODES = ("1cmtrf", "ncmtrf", "kcmtrf", "mf")
 # A phase whose objective rises by more than this share of the previous
 # value breaks the descent guarantee and ends the fit.
 RISE_RTOL = 1e-9
+# Lloyd iterations per k-means run when seeding the clusters.
+KMEANS_MAX_ITERS = 100
 
 
 @dataclass
@@ -117,7 +119,7 @@ class FitResult:
 
 
 def _level_means(keys, scores, n_groups: int, n_levels: int):
-    """Counts and mean scores per (group, level) key ``group * L + level``.
+    """Counts and mean scores per key ``group * L + position``.
 
     Both results are (n_groups, n_levels); empty cells get a zero mean.
     """
@@ -151,20 +153,17 @@ class _TrainData:
         return _scores(model, self.users, self.items)
 
     def grouped_aggregates(self, group_of_user, n_groups, scores):
-        """Counts and mean scores per (group, level), both (n_groups, L)."""
-        keys = group_of_user[self.users] * self.n_levels + self.levels
+        """Counts and mean scores per (group, position), both (n_groups, L)."""
+        keys = group_of_user[self.users] * self.n_levels + self.positions
         return _level_means(keys, scores, n_groups, self.n_levels)
 
 
 def _solve_transform_row(counts, means, eps, div) -> np.ndarray:
-    """Fit one transform row from level-order counts and score means."""
-    targets_level = np.zeros_like(means)
+    """Fit one transform row from position-order counts and score means."""
+    targets = np.zeros_like(means)
     used = counts > 0
-    targets_level[used] = div.grad_psi(means[used])
-    problem = IsotonicProblem(
-        targets_level[::-1].copy(), counts[::-1].copy(), eps
-    )
-    row = fit_margin_isotonic(problem, div).values
+    targets[used] = div.grad_psi(means[used])
+    row = fit_margin_isotonic(IsotonicProblem(targets, counts, eps), div).values
     if div.positive_first_arg and row[-1] < 1e-6:
         # Positive-domain generators need positive transform values; a
         # uniform lift keeps the margins intact.
@@ -182,20 +181,20 @@ def _transform_rows(counts, means, eps, div, fallback) -> np.ndarray:
 
 
 def _assignment_costs(counts, means, transforms, div) -> np.ndarray:
-    """Reduced divergence of each user's aggregates to each transform."""
-    n_groups = counts.shape[0]
-    costs = np.empty((n_groups, transforms.shape[0]))
-    for k, row in enumerate(transforms):
-        terms = div.gap_terms(row[::-1], means)  # level order vs (N, L) means
-        costs[:, k] = np.sum(counts * terms, axis=1)
-    return costs
+    """Reduced divergence of each user's aggregates to each transform, (N, K).
+
+    Terms are added lowest level first: near-tied users are decided by the
+    rounding of that order.
+    """
+    terms = counts[:, None] * div.gap_terms(transforms[None], means[:, None])
+    return np.sum(terms[..., ::-1], axis=2)
 
 
 def _targets(transforms, owner, data) -> np.ndarray:
     return transforms[owner[data.users], data.positions]
 
 
-def _kmeans(points: np.ndarray, k: int, rng, max_iters: int = 100):
+def _kmeans(points: np.ndarray, k: int, rng):
     """Seeded Lloyd iteration with k-means++ seeding.
 
     Empty clusters are reseeded to the point farthest from its center.
@@ -216,7 +215,7 @@ def _kmeans(points: np.ndarray, k: int, rng, max_iters: int = 100):
         )
 
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dist = np.sum(
             (points[:, None, :] - centers[None, :, :]) ** 2, axis=2
         )
@@ -313,9 +312,9 @@ def _base_rows(n_rows: int, n_levels: int, eps: float) -> np.ndarray:
 def _relocate(data: _TrainData, transforms, scores, div, eps) -> np.ndarray:
     """Assign each user to the least-divergence transform row.
 
-    Empty clusters are revived on the worst-fit users, each of whose own
-    optimal transform replaces an empty row of `transforms` in place; giving
-    a user its own optimal transform cannot increase the objective.
+    The i-th empty cluster is revived on the i-th worst-fit user, whose own
+    optimal transform replaces that empty row of `transforms` in place;
+    giving a user its own optimal transform cannot increase the objective.
     """
     counts, means = data.grouped_aggregates(
         np.arange(data.n_users), data.n_users, scores
@@ -325,14 +324,10 @@ def _relocate(data: _TrainData, transforms, scores, div, eps) -> np.ndarray:
     present = np.bincount(assignments, minlength=transforms.shape[0])
     if (present == 0).any():
         assigned_cost = costs[np.arange(data.n_users), assignments]
-        taken: set[int] = set()
-        for k in np.flatnonzero(present == 0):
-            order = np.argsort(-assigned_cost)
-            u = next(int(i) for i in order if int(i) not in taken)
-            taken.add(u)
+        worst = np.argsort(-assigned_cost)
+        for k, u in zip(np.flatnonzero(present == 0), worst):
             transforms[k] = _solve_transform_row(counts[u], means[u], eps, div)
             assignments[u] = k
-            assigned_cost[u] = 0.0
     return assignments
 
 

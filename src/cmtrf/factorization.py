@@ -28,6 +28,12 @@ RIDGE_FLOOR = 1e-10
 # (B, w, d) gather is at most 0.66 MB at d = 10.
 BLOCK_ENTRIES = 1 << 13
 
+# Standard deviation of the seeded Gaussian factor initialization.
+INIT_SCALE = 0.1
+
+# Step halvings a guarded descent row tries before it keeps its old value.
+MAX_BACKTRACKS = 30
+
 
 @dataclass
 class FactorModel:
@@ -79,9 +85,7 @@ class RegularizationConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def init_model(
-    n_users: int, n_items: int, rank: int, seed: int = 0, scale: float = 0.1
-) -> FactorModel:
+def init_model(n_users: int, n_items: int, rank: int, seed: int = 0) -> FactorModel:
     """Seeded Gaussian initialization with small standard deviation.
 
     Training models keep the rank at or below min(n_users, n_items) so the
@@ -91,8 +95,8 @@ def init_model(
         raise ValueError("rank exceeds min(n_users, n_items)")
     rng = np.random.default_rng(seed)
     return FactorModel(
-        rng.normal(0.0, scale, size=(n_users, rank)),
-        rng.normal(0.0, scale, size=(n_items, rank)),
+        rng.normal(0.0, INIT_SCALE, size=(n_users, rank)),
+        rng.normal(0.0, INIT_SCALE, size=(n_items, rank)),
     )
 
 
@@ -241,7 +245,7 @@ def _ridge_sweep(side, other_keys, other, targets, out, lam):
         out[rows] = np.linalg.solve(gram, rhs)[..., 0]
 
 
-def _descent_row(div, other_rows, targets, row, lam, max_backtracks=30):
+def _descent_row(div, other_rows, targets, row, lam):
     """One damped gradient step that never increases the row objective."""
 
     def row_obj(r):
@@ -251,7 +255,7 @@ def _descent_row(div, other_rows, targets, row, lam, max_backtracks=30):
     grad = other_rows.T @ (div.grad_psi(scores) - targets) + lam * row
     base = row_obj(row)
     step = 1.0 / (1.0 + float(np.linalg.norm(grad)))
-    for _ in range(max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         cand = row - step * grad
         if row_obj(cand) <= base:
             return cand

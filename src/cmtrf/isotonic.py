@@ -12,7 +12,7 @@ root-finding on the gradient map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -89,14 +89,6 @@ class IsotonicProblem:
             raise ValueError("epsilon must be nonnegative")
 
 
-@dataclass
-class _Block:
-    """A pooled run of adjacent positions during the PAV sweep."""
-
-    members: list = field(default_factory=list)  # indices into the subsequence arrays
-    value: float = 0.0
-
-
 def _pooled_value(div, t, w, delta):
     """Minimizer of sum_i w_i * D(q - delta_i || t_i) over q."""
     if t.size == 1:
@@ -146,18 +138,18 @@ def fit_margin_isotonic(
     # Shift into the plain descending problem: q_k = r_k + k * eps.
     delta = active.astype(float) * eps
 
-    blocks: list[_Block] = []
+    # Block stack: first index and pooled value; the top block ends at idx.
+    starts: list[int] = []
+    pooled: list[float] = []
     for idx in range(active.size):
-        blocks.append(_Block([idx], float(t[idx] + delta[idx])))
-        while len(blocks) >= 2 and blocks[-2].value < blocks[-1].value:
-            merged = _Block(blocks[-2].members + blocks[-1].members)
-            mem = np.asarray(merged.members)
-            merged.value = _pooled_value(div, t[mem], w[mem], delta[mem])
-            blocks[-2:] = [merged]
+        starts.append(idx)
+        pooled.append(float(t[idx] + delta[idx]))
+        while len(pooled) >= 2 and pooled[-2] < pooled[-1]:
+            s, e = starts[-2], idx + 1
+            pooled[-2:] = [_pooled_value(div, t[s:e], w[s:e], delta[s:e])]
+            del starts[-1]
 
-    q = np.empty(active.size)
-    for block in blocks:
-        q[block.members] = block.value
+    q = np.repeat(pooled, np.diff(starts + [active.size]))
     fitted = q - delta
 
     values = np.empty(n)

@@ -21,6 +21,14 @@ rating values, with the same trace and stop rule.
 
 `predict_loop` is the per-owner prediction loop that `predict_ratings` ran
 before it grouped pairs with one sort: a full-length mask per owner.
+
+`margin_isotonic_blocks` is the PAV sweep that `fit_margin_isotonic` ran
+before it kept its blocks as a start/value stack: each block a member list.
+`level_aggregates`, `solve_transform_row_reversed`, `assignment_costs_loop`
+and `relocate_loop` are the transform and relocation steps as they ran
+before the aggregates were keyed on transform positions: lowest level first,
+reversed for every fitted or priced row, one cost column per cluster and one
+`argsort` per empty cluster.
 """
 import itertools
 from dataclasses import replace
@@ -29,6 +37,7 @@ import numpy as np
 
 from cmtrf import core
 from cmtrf.evaluate import build_inverse
+from cmtrf.isotonic import IsotonicProblem, RatingScaleTransform, _pooled_value
 
 
 def _design(n):
@@ -176,3 +185,102 @@ def predict_loop(scores, transforms, owner, level_vocab):
         mask = owner == row
         out[mask] = inverse(scores[mask])
     return out
+
+
+def margin_isotonic_blocks(problem, div):
+    """Margin-isotonic PAV whose blocks carry their member lists."""
+    t_all, w_all, eps = problem.targets, problem.weights, problem.epsilon
+    n = t_all.size
+    active = np.flatnonzero(w_all > 0)
+    t = t_all[active]
+    w = w_all[active]
+    div.check_second(t)
+    delta = active.astype(float) * eps
+
+    blocks = []  # [members, value] pairs
+    for idx in range(active.size):
+        blocks.append([[idx], float(t[idx] + delta[idx])])
+        while len(blocks) >= 2 and blocks[-2][1] < blocks[-1][1]:
+            members = blocks[-2][0] + blocks[-1][0]
+            mem = np.asarray(members)
+            blocks[-2:] = [
+                [members, _pooled_value(div, t[mem], w[mem], delta[mem])]
+            ]
+
+    q = np.empty(active.size)
+    for members, value in blocks:
+        q[members] = value
+    values = np.empty(n)
+    values[active] = q - delta
+    for left, right in zip(active[:-1], active[1:]):
+        span = right - left
+        if span > 1:
+            steps = np.arange(1, span)
+            values[left + 1 : right] = (
+                values[left] + (values[right] - values[left]) * steps / span
+            )
+    first, last = active[0], active[-1]
+    if first > 0:
+        values[:first] = values[first] + eps * np.arange(first, 0, -1)
+    if last < n - 1:
+        values[last + 1 :] = values[last] - eps * np.arange(1, n - last)
+    return RatingScaleTransform(values, eps)
+
+
+def level_aggregates(data, group_of_user, n_groups, scores):
+    """Counts and mean scores per (group, level), lowest level first."""
+    keys = group_of_user[data.users] * data.n_levels + data.levels
+    return core._level_means(keys, scores, n_groups, data.n_levels)
+
+
+def solve_transform_row_reversed(counts, means, eps, div):
+    """One transform row from level-order counts and means, reversed to fit."""
+    targets_level = np.zeros_like(means)
+    used = counts > 0
+    targets_level[used] = div.grad_psi(means[used])
+    problem = IsotonicProblem(
+        targets_level[::-1].copy(), counts[::-1].copy(), eps
+    )
+    row = margin_isotonic_blocks(problem, div).values
+    if div.positive_first_arg and row[-1] < 1e-6:
+        row = row + (1e-6 - row[-1])
+    return row
+
+
+def assignment_costs_loop(counts, means, transforms, div):
+    """Level-order aggregates priced against each transform row in turn."""
+    costs = np.empty((counts.shape[0], transforms.shape[0]))
+    for k, row in enumerate(transforms):
+        terms = div.gap_terms(row[::-1], means)
+        costs[:, k] = np.sum(counts * terms, axis=1)
+    return costs
+
+
+def relocate_loop(data, transforms, scores, div, eps):
+    """Least-cost assignment; each empty cluster sorts the costs again."""
+    counts, means = level_aggregates(
+        data, np.arange(data.n_users), data.n_users, scores
+    )
+    costs = assignment_costs_loop(counts, means, transforms, div)
+    assignments = costs.argmin(axis=1)
+    present = np.bincount(assignments, minlength=transforms.shape[0])
+    if (present == 0).any():
+        assigned_cost = costs[np.arange(data.n_users), assignments]
+        taken = set()
+        for k in np.flatnonzero(present == 0):
+            order = np.argsort(-assigned_cost)
+            u = next(int(i) for i in order if int(i) not in taken)
+            taken.add(u)
+            transforms[k] = solve_transform_row_reversed(
+                counts[u], means[u], eps, div
+            )
+            assignments[u] = k
+            assigned_cost[u] = 0.0
+    return assignments
+
+
+def patch_level_order_transform_step(monkeypatch):
+    """Run `cmtrf.core`'s transform and relocation steps as the loops above."""
+    monkeypatch.setattr(core._TrainData, "grouped_aggregates", level_aggregates)
+    monkeypatch.setattr(core, "_solve_transform_row", solve_transform_row_reversed)
+    monkeypatch.setattr(core, "_relocate", relocate_loop)

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracles import mf_loop, ridge_als_loop
+from oracles import (
+    assignment_costs_loop,
+    mf_loop,
+    patch_level_order_transform_step,
+    ridge_als_loop,
+)
 
 from cmtrf import core
 from cmtrf.core import (
@@ -16,7 +21,7 @@ from cmtrf.core import (
     _solve_transform_row,
 )
 from cmtrf.data import SparseRatingDataset
-from cmtrf.divergence import SQUARED_LOSS
+from cmtrf.divergence import GID, KL, SQUARED_LOSS
 from cmtrf.evaluate import mse, predict_ratings
 from cmtrf.factorization import FactorModel, RegularizationConfig
 from cmtrf.isotonic import RatingScaleTransform
@@ -38,10 +43,24 @@ def _assert_feasible(result):
         RatingScaleTransform(row, result.epsilon)  # raises on violation
 
 
-def _one_group(levels, scores, n_levels):
-    """Counts and means of one group's entries, both (n_levels,)."""
+def _assert_same_trajectory(a, b):
+    """Equal factors, transforms, objectives, (iter, phase) lists and stops."""
+    for attr in ("user_factors", "item_factors"):
+        assert np.array_equal(getattr(a.model, attr), getattr(b.model, attr))
+    assert np.array_equal(a.transforms, b.transforms)
+    assert np.array_equal(a.objective_values(), b.objective_values())
+    phases = [(rec["iter"], rec["phase"]) for rec in a.trace]
+    assert phases == [(rec["iter"], rec["phase"]) for rec in b.trace]
+    assert a.stop_reason == b.stop_reason
+
+
+def _one_group(positions, scores, n_levels):
+    """Counts and means of one group's entries, both (n_levels,).
+
+    Entries are keyed by transform position: 0 is the highest level.
+    """
     counts, means = _level_means(
-        np.asarray(levels, dtype=np.int64), np.asarray(scores, dtype=float),
+        np.asarray(positions, dtype=np.int64), np.asarray(scores, dtype=float),
         1, n_levels,
     )
     return counts[0], means[0]
@@ -49,13 +68,13 @@ def _one_group(levels, scores, n_levels):
 
 class TestAggregateLevels:
     def test_counts_and_means(self):
-        # Items rated 3, 3, 5 (levels 2, 2, 4) with scores 2.0, 4.0, 4.5.
-        counts, means = _one_group([2, 2, 4], [2.0, 4.0, 4.5], 5)
+        # Items rated 3, 3, 5 (positions 2, 2, 0) with scores 2.0, 4.0, 4.5.
+        counts, means = _one_group([2, 2, 0], [2.0, 4.0, 4.5], 5)
         assert counts[2] == 2
         assert means[2] == pytest.approx(3.0)
-        assert counts[4] == 1
-        assert means[4] == pytest.approx(4.5)
-        np.testing.assert_array_equal(counts == 0, [True, True, False, True, False])
+        assert counts[0] == 1
+        assert means[0] == pytest.approx(4.5)
+        np.testing.assert_array_equal(counts == 0, [False, True, False, True, True])
         np.testing.assert_array_equal(means[counts == 0], 0.0)
 
     def test_empty_group(self):
@@ -64,17 +83,17 @@ class TestAggregateLevels:
         np.testing.assert_array_equal(means, np.zeros(5))
 
     def test_pooled_cluster_matches_union(self):
-        one = ([2, 2, 4], [2.0, 4.0, 4.5])
+        one = ([2, 2, 0], [2.0, 4.0, 4.5])
         counts, means = _one_group(one[0] * 2, one[1] * 2, 5)
         assert counts[2] == 4
         assert means[2] == pytest.approx(3.0)
         # Brute-force recomputation over the union of both users' items.
-        both_levels = np.asarray(one[0] * 2)
+        both_positions = np.asarray(one[0] * 2)
         both_scores = np.asarray(one[1] * 2)
-        for level in range(5):
-            sel = both_levels == level
+        for pos in range(5):
+            sel = both_positions == pos
             if sel.any():
-                assert means[level] == pytest.approx(both_scores[sel].mean())
+                assert means[pos] == pytest.approx(both_scores[sel].mean())
 
     def test_grouped_rows_equal_per_user_aggregates(self, sd2_small):
         data = core._TrainData(sd2_small)
@@ -83,21 +102,21 @@ class TestAggregateLevels:
             np.arange(data.n_users), data.n_users, scores
         )
         for u in range(data.n_users):
-            for level in range(data.n_levels):
-                sel = (data.users == u) & (data.levels == level)
-                assert counts[u, level] == sel.sum()
+            for pos in range(data.n_levels):
+                sel = (data.users == u) & (data.positions == pos)
+                assert counts[u, pos] == sel.sum()
                 if sel.any():
                     # A running sum against numpy's pairwise one: a few ulp.
-                    assert means[u, level] == pytest.approx(
+                    assert means[u, pos] == pytest.approx(
                         np.mean(scores[sel]), rel=1e-14
                     )
                 else:
-                    assert means[u, level] == 0.0
+                    assert means[u, pos] == 0.0
 
 
 class TestTransformStep:
     def test_single_used_level_matches_pooled_mean(self):
-        counts = np.array([0.0, 0, 1, 0, 0])  # level order; only level 2 used
+        counts = np.array([0.0, 0, 1, 0, 0])  # position order; level 2 only
         means = np.array([0.0, 0, 2.7, 0, 0])
         row = _solve_transform_row(counts, means, 0.5, SQUARED_LOSS)
         tr = RatingScaleTransform(row, 0.5)
@@ -105,7 +124,7 @@ class TestTransformStep:
 
     def test_separated_predictions_identity_projection(self):
         counts = np.ones(5)
-        means = np.arange(1.0, 6.0)  # level order, already margin-separated
+        means = np.arange(5.0, 0.0, -1)  # position order, margin-separated
         row = _solve_transform_row(counts, means, 0.5, SQUARED_LOSS)
         np.testing.assert_allclose(row, [5, 4, 3, 2, 1])
 
@@ -220,9 +239,9 @@ class TestFitN:
 
 
 def _assign(groups, transforms, n_levels):
-    """Least-cost transform row per group of (levels, scores) entries."""
+    """Least-cost transform row per group of (positions, scores) entries."""
     keys = np.concatenate(
-        [g * n_levels + np.asarray(lv) for g, (lv, _) in enumerate(groups)]
+        [g * n_levels + np.asarray(pos) for g, (pos, _) in enumerate(groups)]
     )
     scores = np.concatenate([np.asarray(sc, dtype=float) for _, sc in groups])
     counts, means = _level_means(keys, scores, len(groups), n_levels)
@@ -234,7 +253,7 @@ def _assign(groups, transforms, n_levels):
 
 class TestAssignClusters:
     def test_single_cluster(self):
-        groups = [([0, 1], [1.0, 2.0])] * 4
+        groups = [([1, 0], [1.0, 2.0])] * 4
         out = _assign(groups, [[2.0, 1.0]], 2)
         np.testing.assert_array_equal(out, [0, 0, 0, 0])
 
@@ -245,12 +264,28 @@ class TestAssignClusters:
         costs_b = 0.5 * (4.0 - 3.8) ** 2
         assert costs_a == pytest.approx(1.62)
         assert costs_b == pytest.approx(0.02, abs=1e-12)
-        out = _assign([([1], [3.8])], candidates, 2)
+        out = _assign([([0], [3.8])], candidates, 2)
         assert out[0] == 1
 
     def test_tie_breaks_to_lowest_index(self):
         same = np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0]])
-        assert _assign([([0, 1], [1.0, 2.0])], same, 2)[0] == 0
+        assert _assign([([1, 0], [1.0, 2.0])], same, 2)[0] == 0
+
+    @pytest.mark.parametrize("div", [SQUARED_LOSS, KL, GID], ids=lambda d: d.name)
+    def test_broadcast_matches_per_cluster_loop(self, div):
+        rng = np.random.default_rng(5)
+        for _ in range(600):
+            n, k = rng.integers(1, 30), rng.integers(1, 12)
+            n_levels = rng.integers(2, 13)
+            counts = rng.integers(0, 4, (n, n_levels)).astype(float)
+            means = np.where(counts > 0, rng.normal(2.0, 1.5, (n, n_levels)), 0.0)
+            steps = rng.uniform(0.5, 2.0, (k, n_levels))
+            transforms = np.cumsum(steps, axis=1)[:, ::-1]  # descending, > 0
+            expected = assignment_costs_loop(
+                counts[:, ::-1].copy(), means[:, ::-1].copy(), transforms, div
+            )
+            costs = _assignment_costs(counts, means, transforms, div)
+            assert np.array_equal(costs, expected)
 
 
 def _fake_n_result(transform_rows):
@@ -314,29 +349,34 @@ class TestInitClusters:
             RatingScaleTransform(row, cfg.epsilon)
 
 
-class TestFitK:
-    def test_k1_reproduces_global_mode_exactly(self, sd1_small):
-        cfg = small_config(mode="kcmtrf", n_clusters=1)
-        k_result = fit_kcmtrf(sd1_small, cfg)
-        one_result = fit_1cmtrf(sd1_small, small_config())
-        assert k_result.objective == pytest.approx(
-            one_result.objective, abs=1e-6
-        )
-        np.testing.assert_allclose(
-            k_result.transforms, one_result.transforms, atol=1e-12
-        )
+@pytest.fixture(scope="module")
+def degenerate_cases(sd2_small):
+    """The datasets the degenerate-K pins run on, all 50x40."""
+    sd1 = generate(
+        SynthConfig(n_users=50, n_items=40, rank=3, kind="sd1", seed=21)
+    ).dataset
+    return [sd1, sd2_small]
 
-    def test_forced_distinct_kn_reproduces_per_user(self, sd1_small):
-        cfg = small_config(mode="kcmtrf", n_clusters=50)
-        base = np.tile(RatingScaleTransform.base(5, 0.5).values, (50, 1))
-        state = ClusterState(np.arange(50), base, 0.5)
-        k_result = fit_kcmtrf(
-            sd1_small, cfg, init_state=state, freeze_assignments=True
-        )
-        n_result = fit_ncmtrf(sd1_small, small_config())
-        assert k_result.objective == pytest.approx(
-            n_result.objective, abs=1e-6
-        )
+
+class TestFitK:
+    def test_k1_reproduces_global_mode_exactly(self, degenerate_cases):
+        for ds in degenerate_cases:
+            k_result = fit_kcmtrf(
+                ds, small_config(mode="kcmtrf", n_clusters=1, outer_max_iters=60)
+            )
+            one_result = fit_1cmtrf(ds, small_config(outer_max_iters=60))
+            _assert_same_trajectory(k_result, one_result)
+
+    def test_forced_distinct_kn_reproduces_per_user(self, degenerate_cases):
+        for ds in degenerate_cases:
+            cfg = small_config(mode="kcmtrf", n_clusters=50, outer_max_iters=60)
+            base = np.tile(RatingScaleTransform.base(5, 0.5).values, (50, 1))
+            state = ClusterState(np.arange(50), base, 0.5)
+            k_result = fit_kcmtrf(
+                ds, cfg, init_state=state, freeze_assignments=True
+            )
+            n_result = fit_ncmtrf(ds, small_config(outer_max_iters=60))
+            _assert_same_trajectory(k_result, n_result)
 
     def test_descent_feasibility_and_stability(self, sd1_small):
         cfg = small_config(mode="kcmtrf", n_clusters=4, outer_max_iters=60)
@@ -399,6 +439,44 @@ class TestFitK:
         result = fit_kcmtrf(ds, cfg)
         _assert_monotone(result)
         _assert_feasible(result)
+
+
+class TestMatchesLevelOrderTransformStep:
+    """Every fit is unchanged by keying the transform step on positions."""
+
+    @pytest.mark.parametrize(
+        "fit_fn, overrides",
+        [
+            (fit_1cmtrf, {}),
+            (fit_ncmtrf, {}),
+            (fit_kcmtrf, dict(mode="kcmtrf", n_clusters=20)),
+            (
+                fit_kcmtrf,
+                dict(mode="kcmtrf", n_clusters=20, div=GID, outer_max_iters=8),
+            ),
+        ],
+        ids=["1cmtrf", "ncmtrf", "kcmtrf", "kcmtrf-gid"],
+    )
+    def test_fit_bit_identical(self, sd2_small, monkeypatch, fit_fn, overrides):
+        cfg = small_config(**overrides)
+        revived = []
+        costs_fn = core._assignment_costs
+
+        def counting(counts, means, transforms, div):
+            costs = costs_fn(counts, means, transforms, div)
+            used = np.unique(costs.argmin(axis=1)).size
+            revived.append(transforms.shape[0] - used)
+            return costs
+
+        monkeypatch.setattr(core, "_assignment_costs", counting)
+        keyed = fit_fn(sd2_small, cfg)
+        patch_level_order_transform_step(monkeypatch)
+        looped = fit_fn(sd2_small, cfg)
+        _assert_same_trajectory(keyed, looped)
+        assert keyed.trace == looped.trace
+        if fit_fn is fit_kcmtrf:
+            assert np.array_equal(keyed.assignments, looped.assignments)
+            assert sum(revived) > 0
 
 
 class TestModeNesting:

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from cmtrf.divergence import GID, KL
+from cmtrf.divergence import GID, KL, SQUARED_LOSS
 from cmtrf.errors import DomainError
 from cmtrf.isotonic import (
     IsotonicProblem,
     RatingScaleTransform,
     fit_margin_isotonic,
 )
-from oracles import margin_isotonic_enum, margin_isotonic_pg, sl_objective
+from oracles import (
+    margin_isotonic_blocks,
+    margin_isotonic_enum,
+    margin_isotonic_pg,
+    sl_objective,
+)
 
 MARGIN_SLACK = 1e-9
 
@@ -207,3 +212,40 @@ class TestValidation:
     def test_base_transform(self):
         tr = RatingScaleTransform.base(5, 0.5)
         np.testing.assert_allclose(tr.values, [5, 4, 3, 2, 1])
+
+
+def _stress_problem(rng, div):
+    """Up to 11 levels, zero-weight holes and rounded (tie-prone) targets."""
+    n = int(rng.integers(1, 12))
+    if div is SQUARED_LOSS:
+        raw = rng.normal(3.0, 2.0, n)
+    else:
+        raw = rng.uniform(0.05, 6.0, n)
+    targets = np.round(raw, int(rng.integers(0, 4)))
+    weights = rng.integers(0, 4, n).astype(float)
+    if rng.random() < 0.5:
+        weights *= rng.uniform(0.5, 1.5, n)
+    if not np.any(weights > 0):
+        weights[rng.integers(n)] = 1.0
+    eps = float(rng.choice([0.0, 0.1, 0.5, 1.3]))
+    return IsotonicProblem(targets, weights, eps)
+
+
+class TestMatchesMemberListPAV:
+    """The start/value block stack pools exactly as the member-list sweep."""
+
+    @pytest.mark.parametrize("div", [SQUARED_LOSS, KL, GID], ids=lambda d: d.name)
+    def test_bit_identical_on_stress_set(self, div):
+        rng = np.random.default_rng(11)
+        raised = 0
+        for _ in range(3000):
+            problem = _stress_problem(rng, div)
+            try:
+                expected = margin_isotonic_blocks(problem, div).values
+            except Exception as exc:
+                raised += 1
+                with pytest.raises(type(exc)):
+                    fit_margin_isotonic(problem, div)
+                continue
+            assert np.array_equal(fit_margin_isotonic(problem, div).values, expected)
+        assert raised < 300
