@@ -239,22 +239,17 @@ def _kmeans(points: np.ndarray, k: int, rng):
 
 
 def init_clusters(
-    dataset: SparseRatingDataset,
-    config: TrainConfig,
-    n_result: FitResult | None = None,
+    dataset: SparseRatingDataset, config: TrainConfig, n_result: FitResult
 ) -> ClusterState:
-    """Cluster the per-user transforms of a full per-user fit.
+    """Cluster the per-user transforms of `n_result`, a per-user fit.
 
-    Runs the per-user mode (or reuses `n_result`), then k-means on the N
-    transform vectors. Cluster centers are convex combinations of feasible
-    transforms and hence feasible themselves, which constructing the state
-    re-asserts.
+    Runs k-means on the N transform vectors. Cluster centers are convex
+    combinations of feasible transforms and hence feasible themselves,
+    which constructing the state re-asserts.
     """
     k = config.n_clusters
     if k > dataset.n_users:
         raise ValueError("more clusters than users")
-    if n_result is None:
-        n_result = fit_ncmtrf(dataset, config)
     points = n_result.transforms
     distinct = np.unique(points, axis=0).shape[0]
     if k > distinct:
@@ -342,43 +337,44 @@ def _run_alternating(
 ) -> FitResult:
     """The shared outer loop; `owner` maps users to transform rows.
 
-    In mode ``mf`` the transforms stay frozen: the loop skips the warm-up
-    factorization, the transform phase and its score pass, and the result
-    carries no transforms.
+    The loop holds the per-entry targets and the model's scores, which
+    every phase reads, and refreshes each only when one of its inputs
+    changes. In mode ``mf`` the transforms stay frozen: the loop skips the
+    warm-up factorization and the transform phase, and the result carries
+    no transforms.
     """
     div, reg, eps = config.div, config.reg, config.epsilon
     transform_phase = config.mode != "mf"
     if model is None:
         model = init_model(data.n_users, data.n_items, config.rank, config.seed)
     trace = _Tracer()
+    targets = _targets(transforms, owner, data)
+    scores = data.scores(model)
 
-    def objective(trs, own, mdl):
-        return regularized_objective(
-            data.users,
-            data.items,
-            _targets(trs, own, data),
-            mdl,
-            reg,
-            div,
-            index=data.index,
+    def record(it, phase, **extra):
+        objective = regularized_objective(
+            data.index, targets, scores, model, reg, div
         )
+        trace.add(it, phase, objective, **extra)
 
-    def factorize(trs, own, mdl):
-        return solve_factors(
+    def factorize():
+        nonlocal model, scores
+        model = solve_factors(
             data.users,
             data.items,
-            _targets(trs, own, data),
-            mdl,
+            targets,
+            model,
             reg,
             div,
             sweeps=config.inner_sweeps,
             index=data.index,
         )
+        scores = data.scores(model)
 
-    trace.add(0, "init", objective(transforms, owner, model))
+    record(0, "init")
     if transform_phase:
-        model = factorize(transforms, owner, model)
-        trace.add(0, "factorize", objective(transforms, owner, model))
+        factorize()
+        record(0, "factorize")
 
     stop_reason = "max_iters"
     for it in range(1, config.outer_max_iters + 1):
@@ -386,24 +382,22 @@ def _run_alternating(
         prev_assignments = None if assignments is None else assignments.copy()
 
         if transform_phase:
-            scores = data.scores(model)
             if relocate:
                 assignments = owner = _relocate(data, transforms, scores, div, eps)
+                targets = _targets(transforms, owner, data)
                 moved = int((assignments != prev_assignments).sum())
-                trace.add(
-                    it, "assign", objective(transforms, owner, model),
-                    changes=moved,
-                )
+                record(it, "assign", changes=moved)
             group_counts, group_means = data.grouped_aggregates(
                 owner, transforms.shape[0], scores
             )
             transforms = _transform_rows(
                 group_counts, group_means, eps, div, transforms
             )
-            trace.add(it, "transform", objective(transforms, owner, model))
+            targets = _targets(transforms, owner, data)
+            record(it, "transform")
 
-        model = factorize(transforms, owner, model)
-        trace.add(it, "factorize", objective(transforms, owner, model))
+        factorize()
+        record(it, "factorize")
 
         stable = (
             prev_assignments is None

@@ -140,11 +140,11 @@ class _SideIndex:
     the stacked solve: rows with more than w/2 and at most w entries share
     the power-of-two width w, and each block holds the row ids, a (B, w)
     array of entry ids padded with the row's first entry, and the (B, w)
-    mask of real entries, with B * w at most BLOCK_ENTRIES unless a single
-    row is wider.
+    array of the entries' `other_keys`, padded with -1, with B * w at most
+    BLOCK_ENTRIES unless a single row is wider.
     """
 
-    def __init__(self, keys: np.ndarray):
+    def __init__(self, keys: np.ndarray, other_keys: np.ndarray):
         id_type = np.int32 if keys.size < 2**31 else np.int64
         # Sorting the keys in their smallest dtype lets the stable sort use
         # radix sort when they fit 16 bits.
@@ -171,7 +171,10 @@ class _SideIndex:
                 sel = members[lo : lo + per_block]
                 valid = offsets < self.counts[sel, None]
                 entries = order[self.starts[sel, None] + offsets * valid]
-                self.blocks.append((rows[sel], entries, valid))
+                padded_keys = np.where(valid, other_keys.take(entries), -1)
+                self.blocks.append(
+                    (rows[sel], entries, padded_keys.astype(id_type))
+                )
 
 
 class _ObservationIndex:
@@ -184,37 +187,27 @@ class _ObservationIndex:
 
     def __init__(self, users: np.ndarray, items: np.ndarray):
         self.n_entries = users.size
-        self.users = _SideIndex(users)
-        self.items = _SideIndex(items)
-
-
-def _index_for(users, items, index):
-    if index is None:
-        return _ObservationIndex(users, items)
-    if index.n_entries != users.size:
-        raise ValueError("index was built for a different set of entries")
-    return index
+        self.users = _SideIndex(users, items)
+        self.items = _SideIndex(items, users)
 
 
 def regularized_objective(
-    users: np.ndarray,
-    items: np.ndarray,
+    index: _ObservationIndex,
     targets: np.ndarray,
+    scores: np.ndarray,
     model: FactorModel,
     reg: RegularizationConfig,
     div: DivergenceSpec = SQUARED_LOSS,
-    index: _ObservationIndex | None = None,
 ) -> float:
-    """Observed-entry loss plus squared-norm penalties on touched rows.
+    """Loss of `scores` against `targets` plus squared-norm penalties.
 
-    Rows without any observation stay at their initialization and are
-    excluded from the penalty. `index`, when given, must be built from
-    these `users` and `items`; it saves regrouping them.
+    `targets` and `scores` are parallel over the entries `index` was built
+    from, and `scores` are `model`'s scores on them. Rows without any
+    observation stay at their initialization and are excluded from the
+    penalty.
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    index = _index_for(users, items, index)
-    scores = _scores(model, users, items)
+    if not np.size(targets) == np.size(scores) == index.n_entries:
+        raise ValueError("index was built for a different set of entries")
     loss = div.gap(targets, scores)
     loss += 0.5 * reg.lambda_u * float(
         np.sum(model.user_factors[index.users.rows] ** 2)
@@ -225,18 +218,17 @@ def regularized_objective(
     return float(loss)
 
 
-def _ridge_sweep(side, other_keys, other, targets, out, lam):
+def _ridge_sweep(side, other, targets, out, lam):
     """Exact ridge update of every observed row of `out`, one block at a time.
 
     The rows of a side are independent given `other`, so each block's
     normal equations are formed with batched matmuls and solved together.
-    Padding entries gather a zero row appended to `other`, so they add
+    Padding keys (-1) gather a zero row appended to `other`, so they add
     nothing to either side of the equations.
     """
     padded = np.vstack([other, np.zeros((1, other.shape[1]))])
     diag = np.arange(other.shape[1])
-    for rows, entries, valid in side.blocks:
-        keys = np.where(valid, other_keys.take(entries), other.shape[0])
+    for rows, entries, keys in side.blocks:
         gathered = padded.take(keys, axis=0)  # (B, w, d)
         lhs = gathered.transpose(0, 2, 1)
         gram = lhs @ gathered
@@ -304,14 +296,17 @@ def solve_factors(
     if not np.isfinite(targets).all():
         raise ValueError("targets must be finite")
     div.check_first(targets)
-    index = _index_for(users, items, index)
+    if index is None:
+        index = _ObservationIndex(users, items)
+    elif index.n_entries != users.size:
+        raise ValueError("index was built for a different set of entries")
 
     model = init.copy()
     U, V = model.user_factors, model.item_factors
     for _ in range(sweeps):
         if isinstance(div, SquaredLoss):
-            _ridge_sweep(index.users, items, V, targets, U, reg.lambda_u)
-            _ridge_sweep(index.items, users, U, targets, V, reg.lambda_v)
+            _ridge_sweep(index.users, V, targets, U, reg.lambda_u)
+            _ridge_sweep(index.items, U, targets, V, reg.lambda_v)
         else:
             _descent_sweep(index.users, items, V, targets, U, reg.lambda_u, div)
             _descent_sweep(index.items, users, U, targets, V, reg.lambda_v, div)

@@ -54,10 +54,6 @@ class RatingScaleTransform:
         """Latent value of 0-based `level` (0 = lowest rating level)."""
         return float(self.values[self.n_levels - 1 - level])
 
-    def level_order(self) -> np.ndarray:
-        """Values reindexed ascending by level (lowest level first)."""
-        return self.values[::-1].copy()
-
     @classmethod
     def base(cls, n_levels: int, epsilon: float = 0.0) -> "RatingScaleTransform":
         """The untransformed scale: level k maps to k + 1.

@@ -29,13 +29,21 @@ and `relocate_loop` are the transform and relocation steps as they ran
 before the aggregates were keyed on transform positions: lowest level first,
 reversed for every fitted or priced row, one cost column per cluster and one
 `argsort` per empty cluster.
+
+`rescoring_loop` is the outer loop as it ran before it held its targets and
+scores: every trace record gathers the targets again and scores the model
+again through `rescoring_objective`, and each iteration scores the model
+once more for the transform step. `ridge_sweep_rekeyed` is the stacked
+ridge sweep as it ran before each block stored its padded keys: it looks up
+the other side's keys of every block in every sweep. `patch_rescoring_loop`
+runs every fit through both.
 """
 import itertools
 from dataclasses import replace
 
 import numpy as np
 
-from cmtrf import core
+from cmtrf import core, factorization
 from cmtrf.evaluate import build_inverse
 from cmtrf.isotonic import IsotonicProblem, RatingScaleTransform, _pooled_value
 
@@ -55,33 +63,44 @@ def sl_objective(r, targets, weights):
 
 
 def margin_isotonic_pg(targets, weights, epsilon, iters=5000):
-    """Projected-gradient (FISTA) solution of the margin-isotonic QP."""
-    t = np.asarray(targets, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    n = t.size
+    """Projected-gradient (FISTA) solution of the margin-isotonic QP.
+
+    `targets` and `weights` are (n,) or a (B, n) batch of instances of one
+    length, and `epsilon` a scalar or one per instance. Each instance takes
+    its own step and stops on its own rule.
+    """
+    t = np.atleast_2d(np.asarray(targets, dtype=float))
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=float), t.shape[:1])
+    n = t.shape[1]
     J = _design(n)
-    H = J.T @ (w[:, None] * J)
-    step = 1.0 / max(np.linalg.eigvalsh(H).max(), 1e-12)
+    H = J.T @ (w[:, :, None] * J)
+    step = 1.0 / np.maximum(np.linalg.eigvalsh(H).max(axis=1), 1e-12)
 
     def project(v):
         out = v.copy()
-        out[1:] = np.maximum(out[1:], epsilon)
+        out[:, 1:] = np.maximum(out[:, 1:], eps[:, None])
         return out
 
-    v = project(np.zeros(n))
-    v[0] = t[-1]
+    v = project(np.zeros(t.shape))
+    v[:, 0] = t[:, -1]
     y = v.copy()
     t_acc = 1.0
+    running = np.ones(t.shape[0], dtype=bool)
     for _ in range(iters):
-        grad = J.T @ (w * (J @ y - t))
-        v_next = project(y - step * grad)
+        grad = (w * (y @ J.T - t)) @ J
+        v_next = project(y - step[:, None] * grad)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-        y = v_next + ((t_acc - 1.0) / t_next) * (v_next - v)
-        if np.max(np.abs(v_next - v)) < 1e-14:
-            v = v_next
+        y_next = v_next + ((t_acc - 1.0) / t_next) * (v_next - v)
+        moving = np.max(np.abs(v_next - v), axis=1) >= 1e-14
+        v[running] = v_next[running]
+        y[running] = y_next[running]
+        running &= moving
+        if not running.any():
             break
-        v, t_acc = v_next, t_next
-    return J @ v
+        t_acc = t_next
+    r = v @ J.T
+    return r if np.ndim(targets) == 2 else r[0]
 
 
 def margin_isotonic_enum(targets, weights, epsilon):
@@ -148,8 +167,7 @@ def mf_loop(dataset, config, init=None):
 
     def objective(mdl):
         return core.regularized_objective(
-            data.users, data.items, targets, mdl, cfg.reg, cfg.div,
-            index=data.index,
+            data.index, targets, data.scores(mdl), mdl, cfg.reg, cfg.div
         )
 
     trace = core._Tracer()
@@ -284,3 +302,143 @@ def patch_level_order_transform_step(monkeypatch):
     monkeypatch.setattr(core._TrainData, "grouped_aggregates", level_aggregates)
     monkeypatch.setattr(core, "_solve_transform_row", solve_transform_row_reversed)
     monkeypatch.setattr(core, "_relocate", relocate_loop)
+
+
+def rescoring_objective(users, items, targets, model, reg, div, index):
+    """Observed-entry loss plus penalties, scoring `model` on every call."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    scores = factorization._scores(model, users, items)
+    loss = div.gap(targets, scores)
+    loss += 0.5 * reg.lambda_u * float(
+        np.sum(model.user_factors[index.users.rows] ** 2)
+    )
+    loss += 0.5 * reg.lambda_v * float(
+        np.sum(model.item_factors[index.items.rows] ** 2)
+    )
+    return float(loss)
+
+
+def rescoring_loop(data, config, owner, transforms, assignments, model, relocate):
+    """The shared outer loop, gathering targets and scores per record."""
+    div, reg, eps = config.div, config.reg, config.epsilon
+    transform_phase = config.mode != "mf"
+    if model is None:
+        model = core.init_model(
+            data.n_users, data.n_items, config.rank, config.seed
+        )
+    trace = core._Tracer()
+
+    def objective(trs, own, mdl):
+        return rescoring_objective(
+            data.users,
+            data.items,
+            core._targets(trs, own, data),
+            mdl,
+            reg,
+            div,
+            index=data.index,
+        )
+
+    def factorize(trs, own, mdl):
+        return core.solve_factors(
+            data.users,
+            data.items,
+            core._targets(trs, own, data),
+            mdl,
+            reg,
+            div,
+            sweeps=config.inner_sweeps,
+            index=data.index,
+        )
+
+    trace.add(0, "init", objective(transforms, owner, model))
+    if transform_phase:
+        model = factorize(transforms, owner, model)
+        trace.add(0, "factorize", objective(transforms, owner, model))
+
+    stop_reason = "max_iters"
+    for it in range(1, config.outer_max_iters + 1):
+        prev_objective = trace.last
+        prev_assignments = None if assignments is None else assignments.copy()
+
+        if transform_phase:
+            scores = data.scores(model)
+            if relocate:
+                assignments = owner = core._relocate(
+                    data, transforms, scores, div, eps
+                )
+                moved = int((assignments != prev_assignments).sum())
+                trace.add(
+                    it, "assign", objective(transforms, owner, model),
+                    changes=moved,
+                )
+            group_counts, group_means = data.grouped_aggregates(
+                owner, transforms.shape[0], scores
+            )
+            transforms = core._transform_rows(
+                group_counts, group_means, eps, div, transforms
+            )
+            trace.add(it, "transform", objective(transforms, owner, model))
+
+        model = factorize(transforms, owner, model)
+        trace.add(it, "factorize", objective(transforms, owner, model))
+
+        stable = (
+            prev_assignments is None
+            or assignments is None
+            or np.array_equal(prev_assignments, assignments)
+        )
+        reason = trace.stop_reason(
+            config.mode, prev_objective, stable, config.tol
+        )
+        if reason is not None:
+            stop_reason = reason
+            break
+
+    return core.FitResult(
+        mode=config.mode,
+        model=model,
+        transforms=transforms if transform_phase else None,
+        assignments=None if assignments is None else assignments.copy(),
+        epsilon=eps,
+        trace=trace.records,
+        stop_reason=stop_reason,
+    )
+
+
+class MaskedSideIndex(factorization._SideIndex):
+    """A side index whose blocks carry the (B, w) mask of real entries in
+    place of their padded keys, plus the other side's key of every entry."""
+
+    def __init__(self, keys, other_keys):
+        super().__init__(keys, other_keys)
+        self.other_keys = other_keys
+        self.blocks = [
+            (rows, entries, padded >= 0) for rows, entries, padded in self.blocks
+        ]
+
+
+def ridge_sweep_rekeyed(side, other_keys, other, targets, out, lam):
+    """Stacked ridge sweep that pads each block's keys again on every call."""
+    padded = np.vstack([other, np.zeros((1, other.shape[1]))])
+    diag = np.arange(other.shape[1])
+    for rows, entries, valid in side.blocks:
+        keys = np.where(valid, other_keys.take(entries), other.shape[0])
+        gathered = padded.take(keys, axis=0)  # (B, w, d)
+        lhs = gathered.transpose(0, 2, 1)
+        gram = lhs @ gathered
+        gram[:, diag, diag] += lam if lam > 0 else factorization.RIDGE_FLOOR
+        rhs = lhs @ targets.take(entries)[..., None]
+        out[rows] = np.linalg.solve(gram, rhs)[..., 0]
+
+
+def patch_rescoring_loop(monkeypatch):
+    """Run every fit through `rescoring_loop` and `ridge_sweep_rekeyed`."""
+    monkeypatch.setattr(core, "_run_alternating", rescoring_loop)
+    monkeypatch.setattr(factorization, "_SideIndex", MaskedSideIndex)
+
+    def sweep(side, other, targets, out, lam):
+        ridge_sweep_rekeyed(side, side.other_keys, other, targets, out, lam)
+
+    monkeypatch.setattr(factorization, "_ridge_sweep", sweep)

@@ -4,10 +4,11 @@ from oracles import (
     assignment_costs_loop,
     mf_loop,
     patch_level_order_transform_step,
+    patch_rescoring_loop,
     ridge_als_loop,
 )
 
-from cmtrf import core
+from cmtrf import core, factorization
 from cmtrf.core import (
     ClusterState,
     FitResult,
@@ -344,7 +345,7 @@ class TestInitClusters:
 
     def test_centers_feasible(self, sd1_small):
         cfg = small_config(mode="kcmtrf", n_clusters=3, outer_max_iters=8)
-        state = init_clusters(sd1_small, cfg)
+        state = init_clusters(sd1_small, cfg, fit_ncmtrf(sd1_small, cfg))
         for row in state.transforms:
             RatingScaleTransform(row, cfg.epsilon)
 
@@ -441,42 +442,91 @@ class TestFitK:
         _assert_feasible(result)
 
 
+# Fits on sd2_small that the pins against older code run; the two kcmtrf
+# fits revive at least one empty cluster.
+TRANSFORM_FITS = [
+    pytest.param(fit_1cmtrf, {}, id="1cmtrf"),
+    pytest.param(fit_ncmtrf, {}, id="ncmtrf"),
+    pytest.param(fit_kcmtrf, dict(mode="kcmtrf", n_clusters=20), id="kcmtrf"),
+    pytest.param(
+        fit_kcmtrf,
+        dict(mode="kcmtrf", n_clusters=20, div=GID, outer_max_iters=8),
+        id="kcmtrf-gid",
+    ),
+]
+
+
+def _assert_unchanged_by(patch, dataset, monkeypatch, fit_fn, overrides):
+    """`fit_fn` returns bit-identical results once `patch` is applied."""
+    cfg = small_config(**overrides)
+    revived = []
+    costs_fn = core._assignment_costs
+
+    def counting(counts, means, transforms, div):
+        costs = costs_fn(counts, means, transforms, div)
+        used = np.unique(costs.argmin(axis=1)).size
+        revived.append(transforms.shape[0] - used)
+        return costs
+
+    monkeypatch.setattr(core, "_assignment_costs", counting)
+    current = fit_fn(dataset, cfg)
+    patch(monkeypatch)
+    older = fit_fn(dataset, cfg)
+    _assert_same_trajectory(current, older)
+    assert current.trace == older.trace
+    assert np.array_equal(current.assignments, older.assignments)
+    if fit_fn is fit_kcmtrf:
+        assert sum(revived) > 0
+
+
 class TestMatchesLevelOrderTransformStep:
     """Every fit is unchanged by keying the transform step on positions."""
 
+    @pytest.mark.parametrize("fit_fn, overrides", TRANSFORM_FITS)
+    def test_fit_bit_identical(self, sd2_small, monkeypatch, fit_fn, overrides):
+        _assert_unchanged_by(
+            patch_level_order_transform_step, sd2_small, monkeypatch,
+            fit_fn, overrides,
+        )
+
+
+class TestMatchesRescoringLoop:
+    """Every fit is unchanged by holding targets, scores and padded keys."""
+
     @pytest.mark.parametrize(
         "fit_fn, overrides",
-        [
-            (fit_1cmtrf, {}),
-            (fit_ncmtrf, {}),
-            (fit_kcmtrf, dict(mode="kcmtrf", n_clusters=20)),
-            (
-                fit_kcmtrf,
-                dict(mode="kcmtrf", n_clusters=20, div=GID, outer_max_iters=8),
-            ),
-        ],
-        ids=["1cmtrf", "ncmtrf", "kcmtrf", "kcmtrf-gid"],
+        TRANSFORM_FITS + [pytest.param(fit_mf, dict(mode="mf"), id="mf")],
     )
     def test_fit_bit_identical(self, sd2_small, monkeypatch, fit_fn, overrides):
-        cfg = small_config(**overrides)
-        revived = []
-        costs_fn = core._assignment_costs
+        _assert_unchanged_by(
+            patch_rescoring_loop, sd2_small, monkeypatch, fit_fn, overrides
+        )
 
-        def counting(counts, means, transforms, div):
-            costs = costs_fn(counts, means, transforms, div)
-            used = np.unique(costs.argmin(axis=1)).size
-            revived.append(transforms.shape[0] - used)
-            return costs
+    @pytest.mark.parametrize(
+        "mode, extra", [("1cmtrf", 2), ("ncmtrf", 2), ("kcmtrf", 2), ("mf", 1)]
+    )
+    def test_one_score_pass_per_factor_step(
+        self, sd2_small, monkeypatch, mode, extra
+    ):
+        cfg = small_config(mode=mode, n_clusters=20)
+        kwargs = {}
+        if mode == "kcmtrf":
+            n_result = fit_ncmtrf(sd2_small, cfg)
+            kwargs = dict(
+                init_state=init_clusters(sd2_small, cfg, n_result),
+                init=n_result.model,
+            )
+        calls = []
+        scores_fn = factorization._scores
 
-        monkeypatch.setattr(core, "_assignment_costs", counting)
-        keyed = fit_fn(sd2_small, cfg)
-        patch_level_order_transform_step(monkeypatch)
-        looped = fit_fn(sd2_small, cfg)
-        _assert_same_trajectory(keyed, looped)
-        assert keyed.trace == looped.trace
-        if fit_fn is fit_kcmtrf:
-            assert np.array_equal(keyed.assignments, looped.assignments)
-            assert sum(revived) > 0
+        def counting(*args):
+            calls.append(1)
+            return scores_fn(*args)
+
+        monkeypatch.setattr(core, "_scores", counting)
+        monkeypatch.setattr(factorization, "_scores", counting)
+        result = getattr(core, f"fit_{mode}")(sd2_small, cfg, **kwargs)
+        assert len(calls) == result.trace[-1]["iter"] + extra
 
 
 class TestModeNesting:

@@ -3,7 +3,7 @@ import pytest
 from oracles import ridge_als_loop
 
 from cmtrf import factorization
-from cmtrf.divergence import GID
+from cmtrf.divergence import GID, SQUARED_LOSS
 from cmtrf.errors import DomainError
 from cmtrf.factorization import (
     RIDGE_FLOOR,
@@ -21,6 +21,13 @@ from cmtrf.factorization import (
 def _triplets_from_dense(matrix):
     users, items = np.nonzero(np.ones_like(matrix, dtype=bool))
     return users, items, matrix[users, items]
+
+
+def _objective(users, items, targets, model, reg, div=SQUARED_LOSS):
+    """`model`'s regularized objective on the (user, item, target) triplets."""
+    index = factorization._ObservationIndex(users, items)
+    scores = predict_scores(model, np.column_stack([users, items]))
+    return regularized_objective(index, targets, scores, model, reg, div)
 
 
 class TestPredictScores:
@@ -83,10 +90,10 @@ class TestSolveFactors:
         targets = rng.normal(0, 2, users.size)
         reg = RegularizationConfig(0.3, 0.2)
         model = init_model(8, 6, 3, seed=0)
-        prev = regularized_objective(users, items, targets, model, reg)
+        prev = _objective(users, items, targets, model, reg)
         for _ in range(10):
             model = solve_factors(users, items, targets, model, reg, sweeps=1)
-            cur = regularized_objective(users, items, targets, model, reg)
+            cur = _objective(users, items, targets, model, reg)
             assert cur <= prev + 1e-9
             prev = cur
 
@@ -98,13 +105,13 @@ class TestSolveFactors:
         reg = RegularizationConfig(0.5, 0.5)
         model = init_model(2, 5, 2, seed=1)
         out = solve_factors(users, items, targets, model, reg, sweeps=1)
-        base = regularized_objective(users, items, targets, out, reg)
+        base = _objective(users, items, targets, out, reg)
         # The item rows are the freshly updated side once a sweep ends; each
         # is the unique minimizer of its strictly convex ridge subproblem.
         for _ in range(20):
             probe = out.copy()
             probe.item_factors[rng.integers(5)] += rng.normal(0, 1e-3, 2)
-            perturbed = regularized_objective(users, items, targets, probe, reg)
+            perturbed = _objective(users, items, targets, probe, reg)
             assert perturbed > base
 
     def test_rank_bound(self):
@@ -144,10 +151,10 @@ class TestSolveFactors:
         targets = rng.uniform(0.5, 3.0, 12)
         reg = RegularizationConfig(0.05, 0.05)
         model = init_model(4, 3, 2, seed=5)
-        prev = regularized_objective(users, items, targets, model, reg, GID)
+        prev = _objective(users, items, targets, model, reg, GID)
         for _ in range(5):
             model = solve_factors(users, items, targets, model, reg, GID, sweeps=1)
-            cur = regularized_objective(users, items, targets, model, reg, GID)
+            cur = _objective(users, items, targets, model, reg, GID)
             assert cur <= prev + 1e-9
             prev = cur
 
@@ -217,7 +224,7 @@ class TestStackedRidge:
     def test_side_split_across_blocks(self, monkeypatch):
         monkeypatch.setattr(factorization, "BLOCK_ENTRIES", 8)
         users, items = _entries_with_counts(EDGE_COUNTS, 40, 3)
-        side = factorization._SideIndex(users)
+        side = factorization._SideIndex(users, items)
         widths = [entries.shape[1] for _, entries, _ in side.blocks]
         assert len(widths) > len(set(widths))  # some width spans blocks
         for (rows, _, _), width in zip(side.blocks, widths):
@@ -226,13 +233,15 @@ class TestStackedRidge:
 
     def test_index_covers_each_entry_once(self):
         users, items = _entries_with_counts(EDGE_COUNTS, 40, 4)
-        side = factorization._SideIndex(users)
+        side = factorization._SideIndex(users, items)
         np.testing.assert_array_equal(side.rows, np.unique(users))
         covered = np.concatenate(
-            [entries[valid] for _, entries, valid in side.blocks]
+            [entries[keys >= 0] for _, entries, keys in side.blocks]
         )
         np.testing.assert_array_equal(np.sort(covered), np.arange(users.size))
-        for rows, entries, valid in side.blocks:
+        for rows, entries, keys in side.blocks:
+            valid = keys >= 0
+            np.testing.assert_array_equal(keys[valid], items[entries[valid]])
             width = entries.shape[1]
             counts = valid.sum(axis=1)
             assert np.all((counts > width // 2) & (counts <= width))
@@ -245,8 +254,11 @@ class TestStackedRidge:
         reg = RegularizationConfig(0.1, 0.1)
         with pytest.raises(ValueError, match="index"):
             solve_factors([0], [0], [1.0], init, reg, index=index)
+        one, two = np.ones(1), np.ones(2)
         with pytest.raises(ValueError, match="index"):
-            regularized_objective([0], [0], [1.0], init, reg, index=index)
+            regularized_objective(index, one, two, init, reg)
+        with pytest.raises(ValueError, match="index"):
+            regularized_objective(index, two, one, init, reg)
 
 
 class TestModelValidation:
