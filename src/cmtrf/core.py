@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SparseRatingDataset
-from .divergence import SQUARED_LOSS, DivergenceSpec
+from .divergence import SQUARED_LOSS, DivergenceSpec, SquaredLoss
 from .errors import DataError
 from .factorization import (
     FactorModel,
@@ -31,6 +31,7 @@ from .factorization import (
     solve_factors,
 )
 from .isotonic import IsotonicProblem, RatingScaleTransform, fit_margin_isotonic
+from .isotonic import fit_margin_isotonic_rows
 
 MODES = ("1cmtrf", "ncmtrf", "kcmtrf", "mf")
 # A phase whose objective rises by more than this share of the previous
@@ -174,9 +175,15 @@ def _solve_transform_row(counts, means, eps, div) -> np.ndarray:
 def _transform_rows(counts, means, eps, div, fallback) -> np.ndarray:
     """Fit a transform row per group; groups with no entries keep `fallback`."""
     rows = np.array(fallback, dtype=float, copy=True)
-    for g in range(counts.shape[0]):
-        if counts[g].sum() > 0:
-            rows[g] = _solve_transform_row(counts[g], means[g], eps, div)
+    used = np.flatnonzero((counts > 0).any(axis=1))
+    # The batched pass pools with left-to-right sums, which is how np.sum
+    # adds fewer than 8 terms; from 8 on it sums pairwise, so longer scales
+    # keep the per-row loop.
+    if isinstance(div, SquaredLoss) and counts.shape[1] < 8:
+        rows[used] = fit_margin_isotonic_rows(counts[used], means[used], eps)
+        return rows
+    for g in used:
+        rows[g] = _solve_transform_row(counts[g], means[g], eps, div)
     return rows
 
 
@@ -317,12 +324,14 @@ def _relocate(data: _TrainData, transforms, scores, div, eps) -> np.ndarray:
     costs = _assignment_costs(counts, means, transforms, div)
     assignments = costs.argmin(axis=1)
     present = np.bincount(assignments, minlength=transforms.shape[0])
-    if (present == 0).any():
+    empty = np.flatnonzero(present == 0)
+    if empty.size:
         assigned_cost = costs[np.arange(data.n_users), assignments]
-        worst = np.argsort(-assigned_cost)
-        for k, u in zip(np.flatnonzero(present == 0), worst):
-            transforms[k] = _solve_transform_row(counts[u], means[u], eps, div)
-            assignments[u] = k
+        users = np.argsort(-assigned_cost)[: empty.size]
+        transforms[empty] = _transform_rows(
+            counts[users], means[users], eps, div, transforms[empty]
+        )
+        assignments[users] = empty
     return assignments
 
 

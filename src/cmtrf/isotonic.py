@@ -22,6 +22,16 @@ from .divergence import DOMAIN_TOL, SQUARED_LOSS, DivergenceSpec, SquaredLoss
 MARGIN_TOL = 1e-9
 
 
+def _check_margins(values: np.ndarray, epsilon: float) -> None:
+    """Raise unless every row of `values` descends by at least `epsilon`."""
+    gaps = -np.diff(values)
+    if gaps.size and gaps.min() < epsilon - MARGIN_TOL:
+        raise ValueError(
+            f"margin violation: smallest gap {gaps.min():.3g} < "
+            f"epsilon {epsilon:.3g}"
+        )
+
+
 @dataclass
 class RatingScaleTransform:
     """Latent values per rating level, descending with margin ``epsilon``.
@@ -39,12 +49,7 @@ class RatingScaleTransform:
             raise ValueError("transform values must be a nonempty 1-d vector")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        gaps = -np.diff(self.values)
-        if gaps.size and gaps.min() < self.epsilon - MARGIN_TOL:
-            raise ValueError(
-                f"margin violation: smallest gap {gaps.min():.3g} < "
-                f"epsilon {self.epsilon:.3g}"
-            )
+        _check_margins(self.values, self.epsilon)
 
     @property
     def n_levels(self) -> int:
@@ -148,21 +153,84 @@ def fit_margin_isotonic(
     q = np.repeat(pooled, np.diff(starts + [active.size]))
     fitted = q - delta
 
-    values = np.empty(n)
+    values = np.zeros(n)
     values[active] = fitted
-    # Interior gaps: linear interpolation between fitted neighbors keeps
-    # every implied margin (neighbors already differ by >= span * eps).
-    for left, right in zip(active[:-1], active[1:]):
-        span = right - left
-        if span > 1:
-            steps = np.arange(1, span)
-            values[left + 1 : right] = (
-                values[left] + (values[right] - values[left]) * steps / span
-            )
-    first, last = active[0], active[-1]
-    if first > 0:
-        values[:first] = values[first] + eps * np.arange(first, 0, -1)
-    if last < n - 1:
-        values[last + 1 :] = values[last] - eps * np.arange(1, n - last)
-
+    _fill_holes(values[None], (w_all > 0)[None], eps)
     return RatingScaleTransform(values, eps)
+
+
+def _fill_holes(values: np.ndarray, active: np.ndarray, eps: float) -> None:
+    """Fill the inactive positions of (G, L) `values` in place.
+
+    Interior holes interpolate linearly between their fitted neighbors, which
+    keeps every margin (the neighbors differ by >= span * eps); end holes
+    step away from the first or last active position by `eps`.
+    """
+    if active.all():
+        return
+    n = values.shape[1]
+    cols = np.arange(n)
+    left = np.maximum.accumulate(np.where(active, cols, -1), axis=1)
+    right = np.where(active, cols, n)[:, ::-1]
+    right = np.minimum.accumulate(right, axis=1)[:, ::-1]
+    g, p = np.nonzero(~active)
+    lo, hi = left[g, p], right[g, p]
+    vlo, vhi = values[g, lo], values[g, hi % n]
+    inner = vlo + (vhi - vlo) * (p - lo) / (hi - lo)
+    inner = np.where(hi == n, vlo - eps * (p - lo), inner)
+    values[g, p] = np.where(lo < 0, vhi + eps * (hi - p), inner)
+
+
+def fit_margin_isotonic_rows(counts, means, epsilon: float) -> np.ndarray:
+    """Squared-loss margin-isotonic fits of G rows at once, (G, L) in and out.
+
+    Row g equals ``fit_margin_isotonic(IsotonicProblem(means[g], counts[g],
+    epsilon)).values`` bit for bit as long as L < 8: each row runs the same
+    PAV sweep over its active positions, with the same pooled sums. Every
+    row needs a positive count; means at zero-count positions are ignored.
+    """
+    g, n = counts.shape
+    rows = np.arange(g)[:, None]
+    # Left-justify each row's active positions; slot j holds the j-th one.
+    pos = np.sort(np.where(counts > 0, np.arange(n), n), axis=1)
+    slot = np.minimum(pos, n - 1)
+    w, t = counts[rows, slot], means[rows, slot]
+    delta = pos.astype(float) * epsilon
+    x = w * (t + delta)
+
+    # Per-row block stack: first slot and pooled value; `top` blocks.
+    starts = np.zeros((g, n), dtype=np.int64)
+    pooled = np.empty((g, n))
+    top = np.zeros(g, dtype=np.int64)
+    for j in range(n):
+        live = np.flatnonzero(pos[:, j] < n)
+        b = top[live]
+        starts[live, b] = j
+        pooled[live, b] = t[live, j] + delta[live, j]
+        top[live] = b + 1
+        while True:
+            live = live[top[live] >= 2]
+            b = top[live]
+            live = live[pooled[live, b - 2] < pooled[live, b - 1]]
+            if not live.size:
+                break
+            b = top[live] - 2
+            # cumsum adds left to right, as np.sum adds fewer than 8 terms.
+            on = np.arange(j + 1) >= starts[live, b][:, None]
+            sx = np.cumsum(np.where(on, x[live, : j + 1], 0.0), axis=1)
+            sw = np.cumsum(np.where(on, w[live, : j + 1], 0.0), axis=1)
+            pooled[live, b] = sx[:, -1] / sw[:, -1]
+            top[live] -= 1
+
+    # Each slot takes the value of the last block starting at or before it.
+    owner = np.zeros((g, n), dtype=np.int64)
+    gi, bi = np.nonzero(np.arange(n) < top[:, None])
+    owner[gi, starts[gi, bi]] = bi
+    fitted = pooled[rows, np.maximum.accumulate(owner, axis=1)] - delta
+
+    values = np.zeros((g, n))
+    gi, si = np.nonzero(pos < n)
+    values[gi, pos[gi, si]] = fitted[gi, si]
+    _fill_holes(values, counts > 0, epsilon)
+    _check_margins(values, epsilon)
+    return values

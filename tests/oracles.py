@@ -30,6 +30,12 @@ before the aggregates were keyed on transform positions: lowest level first,
 reversed for every fitted or priced row, one cost column per cluster and one
 `argsort` per empty cluster.
 
+`transform_rows_loop` and `relocate_per_cluster` are the transform step
+and the relocation step as they ran before squared-loss rows went through
+one batched PAV pass: one `_solve_transform_row` per group with entries and
+one per revived cluster. `patch_per_row_transform_step` runs every fit
+through both.
+
 `rescoring_loop` is the outer loop as it ran before it held its targets and
 scores: every trace record gathers the targets again and scores the model
 again through `rescoring_objective`, and each iteration scores the model
@@ -297,10 +303,45 @@ def relocate_loop(data, transforms, scores, div, eps):
     return assignments
 
 
+def transform_rows_loop(counts, means, eps, div, fallback):
+    """Fit a transform row per group; groups with no entries keep `fallback`."""
+    rows = np.array(fallback, dtype=float, copy=True)
+    for g in range(counts.shape[0]):
+        if counts[g].sum() > 0:
+            rows[g] = core._solve_transform_row(counts[g], means[g], eps, div)
+    return rows
+
+
+def relocate_per_cluster(data, transforms, scores, div, eps):
+    """Least-cost assignment; each empty cluster fits its own row."""
+    counts, means = data.grouped_aggregates(
+        np.arange(data.n_users), data.n_users, scores
+    )
+    costs = core._assignment_costs(counts, means, transforms, div)
+    assignments = costs.argmin(axis=1)
+    present = np.bincount(assignments, minlength=transforms.shape[0])
+    if (present == 0).any():
+        assigned_cost = costs[np.arange(data.n_users), assignments]
+        worst = np.argsort(-assigned_cost)
+        for k, u in zip(np.flatnonzero(present == 0), worst):
+            transforms[k] = core._solve_transform_row(
+                counts[u], means[u], eps, div
+            )
+            assignments[u] = k
+    return assignments
+
+
+def patch_per_row_transform_step(monkeypatch):
+    """Run `cmtrf.core`'s transform and relocation steps one row at a time."""
+    monkeypatch.setattr(core, "_transform_rows", transform_rows_loop)
+    monkeypatch.setattr(core, "_relocate", relocate_per_cluster)
+
+
 def patch_level_order_transform_step(monkeypatch):
     """Run `cmtrf.core`'s transform and relocation steps as the loops above."""
     monkeypatch.setattr(core._TrainData, "grouped_aggregates", level_aggregates)
     monkeypatch.setattr(core, "_solve_transform_row", solve_transform_row_reversed)
+    monkeypatch.setattr(core, "_transform_rows", transform_rows_loop)
     monkeypatch.setattr(core, "_relocate", relocate_loop)
 
 

@@ -4,6 +4,7 @@ from oracles import (
     assignment_costs_loop,
     mf_loop,
     patch_level_order_transform_step,
+    patch_per_row_transform_step,
     patch_rescoring_loop,
     ridge_als_loop,
 )
@@ -488,6 +489,61 @@ class TestMatchesLevelOrderTransformStep:
             patch_level_order_transform_step, sd2_small, monkeypatch,
             fit_fn, overrides,
         )
+
+
+class TestMatchesPerRowTransformStep:
+    """Every fit is unchanged by fitting squared-loss rows in one pass."""
+
+    @pytest.mark.parametrize("fit_fn, overrides", TRANSFORM_FITS)
+    def test_fit_bit_identical(self, sd2_small, monkeypatch, fit_fn, overrides):
+        _assert_unchanged_by(
+            patch_per_row_transform_step, sd2_small, monkeypatch,
+            fit_fn, overrides,
+        )
+
+
+def _isotonic_calls(monkeypatch):
+    """A list that grows by one per `fit_margin_isotonic` call in core."""
+    calls = []
+    fit = core.fit_margin_isotonic
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(core, "fit_margin_isotonic", counting)
+    return calls
+
+
+class TestTransformDispatch:
+    """Squared loss below 8 levels is fitted in one batched pass; longer
+    scales and the other divergences fit one row at a time."""
+
+    @pytest.mark.parametrize("fit_fn", [fit_1cmtrf, fit_ncmtrf],
+                             ids=["1cmtrf", "ncmtrf"])
+    @pytest.mark.parametrize("n_levels, per_row", [(10, True), (7, False)])
+    def test_squared_loss(self, monkeypatch, fit_fn, n_levels, per_row):
+        ds = generate(SynthConfig(
+            n_users=50, n_items=40, rank=3, n_levels=n_levels, kind="sd2",
+            seed=3,
+        )).dataset
+        assert ds.n_levels == n_levels
+        cfg = small_config(outer_max_iters=20)
+        calls = _isotonic_calls(monkeypatch)
+        current = fit_fn(ds, cfg)
+        assert bool(calls) == per_row
+        patch_per_row_transform_step(monkeypatch)
+        older = fit_fn(ds, cfg)
+        _assert_same_trajectory(current, older)
+        assert current.trace == older.trace
+
+    def test_gid_fits_row_by_row(self, sd2_small, monkeypatch):
+        calls = _isotonic_calls(monkeypatch)
+        cfg = small_config(
+            mode="kcmtrf", n_clusters=20, div=GID, outer_max_iters=8
+        )
+        fit_kcmtrf(sd2_small, cfg)
+        assert calls
 
 
 class TestMatchesRescoringLoop:

@@ -8,6 +8,7 @@ from cmtrf.isotonic import (
     IsotonicProblem,
     RatingScaleTransform,
     fit_margin_isotonic,
+    fit_margin_isotonic_rows,
 )
 from oracles import (
     margin_isotonic_blocks,
@@ -248,3 +249,42 @@ class TestMatchesMemberListPAV:
                 continue
             assert np.array_equal(fit_margin_isotonic(problem, div).values, expected)
         assert raised < 300
+
+
+def _stress_rows(rng):
+    """A (G, L) batch with holes, some rows with non-integer weights, and
+    rounded (tie-prone) means; every row has a positive count."""
+    g, n = int(rng.integers(1, 41)), int(rng.integers(1, 8))
+    counts = rng.integers(0, 4, (g, n)).astype(float)
+    scaled = rng.random(g) < 0.3
+    counts[scaled] *= rng.uniform(0.5, 1.5, (scaled.sum(), n))
+    empty = ~(counts > 0).any(axis=1)
+    counts[empty, rng.integers(n, size=empty.sum())] = 1.0
+    means = np.round(rng.normal(3.0, 2.0, (g, n)), int(rng.integers(0, 16)))
+    eps = float(rng.choice([0.0, 0.1, 0.5, 1.3]))
+    return counts, means, eps
+
+
+class TestBatchedRowsMatchPerRowPAV:
+    """The batched squared-loss pass fits each row exactly as one problem."""
+
+    def test_bit_identical_on_stress_batches(self):
+        rng = np.random.default_rng(13)
+        for _ in range(3000):
+            counts, means, eps = _stress_rows(rng)
+            rows = fit_margin_isotonic_rows(counts, means, eps)
+            for g in range(counts.shape[0]):
+                problem = IsotonicProblem(means[g], counts[g], eps)
+                assert np.array_equal(rows[g], fit_margin_isotonic(problem).values)
+
+    def test_margin_violation_raises_like_transform(self):
+        # One ulp of 1e17 is 16, so the shift by k * eps rounds away and the
+        # pooled row comes back flat.
+        counts, means = np.ones((1, 2)), np.full((1, 2), 1e17)
+        with pytest.raises(ValueError, match="margin violation") as per_row:
+            fit_margin_isotonic(IsotonicProblem(means[0], counts[0], 0.5))
+        with pytest.raises(ValueError) as transform:
+            RatingScaleTransform(means[0], 0.5)
+        with pytest.raises(ValueError) as batched:
+            fit_margin_isotonic_rows(counts, means, 0.5)
+        assert str(batched.value) == str(per_row.value) == str(transform.value)
