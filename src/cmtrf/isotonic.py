@@ -92,8 +92,6 @@ class IsotonicProblem:
 
 def _pooled_value(div, t, w, delta):
     """Minimizer of sum_i w_i * D(q - delta_i || t_i) over q."""
-    if t.size == 1:
-        return float(t[0] + delta[0])
     if isinstance(div, SquaredLoss):
         return float(np.sum(w * (t + delta)) / np.sum(w))
     if np.all(delta == delta[0]):
@@ -121,42 +119,13 @@ def fit_margin_isotonic(
     """Minimize ``sum_k w_k * D(r_k || t_k)`` over margin-separated vectors.
 
     Returns the descending vector with gaps at least ``problem.epsilon``
-    that best fits the targets under the given divergence. Positions with
-    zero weight are excluded from the fit and filled afterwards by linear
-    interpolation between their fitted neighbors (margin-stepped
-    extension at the ends), which leaves the objective unchanged.
+    that best fits the targets under the given divergence; a one-row call
+    of `fit_margin_isotonic_rows`.
     """
-    t_all = problem.targets
-    w_all = problem.weights
-    eps = problem.epsilon
-    n = t_all.size
-
-    active = np.flatnonzero(w_all > 0)
-    t = t_all[active]
-    w = w_all[active]
-    div.check_second(t)
-
-    # Shift into the plain descending problem: q_k = r_k + k * eps.
-    delta = active.astype(float) * eps
-
-    # Block stack: first index and pooled value; the top block ends at idx.
-    starts: list[int] = []
-    pooled: list[float] = []
-    for idx in range(active.size):
-        starts.append(idx)
-        pooled.append(float(t[idx] + delta[idx]))
-        while len(pooled) >= 2 and pooled[-2] < pooled[-1]:
-            s, e = starts[-2], idx + 1
-            pooled[-2:] = [_pooled_value(div, t[s:e], w[s:e], delta[s:e])]
-            del starts[-1]
-
-    q = np.repeat(pooled, np.diff(starts + [active.size]))
-    fitted = q - delta
-
-    values = np.zeros(n)
-    values[active] = fitted
-    _fill_holes(values[None], (w_all > 0)[None], eps)
-    return RatingScaleTransform(values, eps)
+    values = fit_margin_isotonic_rows(
+        problem.weights[None], problem.targets[None], problem.epsilon, div
+    )
+    return RatingScaleTransform(values[0], problem.epsilon)
 
 
 def _fill_holes(values: np.ndarray, active: np.ndarray, eps: float) -> None:
@@ -181,21 +150,29 @@ def _fill_holes(values: np.ndarray, active: np.ndarray, eps: float) -> None:
     values[g, p] = np.where(lo < 0, vhi + eps * (hi - p), inner)
 
 
-def fit_margin_isotonic_rows(counts, means, epsilon: float) -> np.ndarray:
-    """Squared-loss margin-isotonic fits of G rows at once, (G, L) in and out.
+def fit_margin_isotonic_rows(
+    counts, targets, epsilon: float, div: DivergenceSpec = SQUARED_LOSS
+) -> np.ndarray:
+    """Margin-isotonic fits of G rows at once, (G, L) in and out.
 
-    Row g equals ``fit_margin_isotonic(IsotonicProblem(means[g], counts[g],
-    epsilon)).values`` bit for bit as long as L < 8: each row runs the same
-    PAV sweep over its active positions, with the same pooled sums. Every
-    row needs a positive count; means at zero-count positions are ignored.
+    Row g minimizes ``sum_k counts[g, k] * D(r_k || targets[g, k])`` over
+    vectors descending with gaps at least `epsilon`. Every row needs a
+    positive count; zero-count positions are left out of the fit and filled
+    by `_fill_holes`, which leaves the objective unchanged.
     """
     g, n = counts.shape
     rows = np.arange(g)[:, None]
+    div.check_second(targets[counts > 0])
     # Left-justify each row's active positions; slot j holds the j-th one.
     pos = np.sort(np.where(counts > 0, np.arange(n), n), axis=1)
     slot = np.minimum(pos, n - 1)
-    w, t = counts[rows, slot], means[rows, slot]
+    w, t = counts[rows, slot], targets[rows, slot]
+    # Shift into the plain descending problem: q_k = r_k + k * eps.
     delta = pos.astype(float) * epsilon
+    # cumsum adds left to right, as np.sum adds fewer than 8 terms; from 8
+    # on np.sum adds pairwise, so longer scales and the other divergences
+    # pool each block through `_pooled_value`.
+    running_sums = isinstance(div, SquaredLoss) and n < 8
     x = w * (t + delta)
 
     # Per-row block stack: first slot and pooled value; `top` blocks.
@@ -215,11 +192,17 @@ def fit_margin_isotonic_rows(counts, means, epsilon: float) -> np.ndarray:
             if not live.size:
                 break
             b = top[live] - 2
-            # cumsum adds left to right, as np.sum adds fewer than 8 terms.
-            on = np.arange(j + 1) >= starts[live, b][:, None]
-            sx = np.cumsum(np.where(on, x[live, : j + 1], 0.0), axis=1)
-            sw = np.cumsum(np.where(on, w[live, : j + 1], 0.0), axis=1)
-            pooled[live, b] = sx[:, -1] / sw[:, -1]
+            first = starts[live, b]
+            if running_sums:
+                on = np.arange(j + 1) >= first[:, None]
+                sx = np.cumsum(np.where(on, x[live, : j + 1], 0.0), axis=1)
+                sw = np.cumsum(np.where(on, w[live, : j + 1], 0.0), axis=1)
+                pooled[live, b] = sx[:, -1] / sw[:, -1]
+            else:
+                pooled[live, b] = [
+                    _pooled_value(div, t[r, s:j + 1], w[r, s:j + 1], delta[r, s:j + 1])
+                    for r, s in zip(live, first)
+                ]
             top[live] -= 1
 
     # Each slot takes the value of the last block starting at or before it.

@@ -31,10 +31,11 @@ reversed for every fitted or priced row, one cost column per cluster and one
 `argsort` per empty cluster.
 
 `transform_rows_loop` and `relocate_per_cluster` are the transform step
-and the relocation step as they ran before squared-loss rows went through
-one batched PAV pass: one `_solve_transform_row` per group with entries and
-one per revived cluster. `patch_per_row_transform_step` runs every fit
-through both.
+and the relocation step as they ran before every row went through one
+batched PAV pass: one `solve_transform_row` per group with entries and one
+per revived cluster. `solve_transform_row` is the per-row fit they called,
+with `margin_isotonic_blocks` in place of the per-problem PAV stack.
+`patch_per_row_transform_step` runs every fit through both.
 
 `rescoring_loop` is the outer loop as it ran before it held its targets and
 scores: every trace record gathers the targets again and scores the model
@@ -45,6 +46,7 @@ the other side's keys of every block in every sweep. `patch_rescoring_loop`
 runs every fit through both.
 """
 import itertools
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -303,12 +305,26 @@ def relocate_loop(data, transforms, scores, div, eps):
     return assignments
 
 
+def solve_transform_row(counts, means, eps, div):
+    """Fit one transform row from position-order counts and score means."""
+    targets = np.zeros_like(means)
+    used = counts > 0
+    targets[used] = div.grad_psi(means[used])
+    problem = IsotonicProblem(targets, counts, eps)
+    row = margin_isotonic_blocks(problem, div).values
+    if div.positive_first_arg and row[-1] < 1e-6:
+        # Positive-domain generators need positive transform values; a
+        # uniform lift keeps the margins intact.
+        row = row + (1e-6 - row[-1])
+    return row
+
+
 def transform_rows_loop(counts, means, eps, div, fallback):
     """Fit a transform row per group; groups with no entries keep `fallback`."""
     rows = np.array(fallback, dtype=float, copy=True)
     for g in range(counts.shape[0]):
         if counts[g].sum() > 0:
-            rows[g] = core._solve_transform_row(counts[g], means[g], eps, div)
+            rows[g] = solve_transform_row(counts[g], means[g], eps, div)
     return rows
 
 
@@ -324,9 +340,7 @@ def relocate_per_cluster(data, transforms, scores, div, eps):
         assigned_cost = costs[np.arange(data.n_users), assignments]
         worst = np.argsort(-assigned_cost)
         for k, u in zip(np.flatnonzero(present == 0), worst):
-            transforms[k] = core._solve_transform_row(
-                counts[u], means[u], eps, div
-            )
+            transforms[k] = solve_transform_row(counts[u], means[u], eps, div)
             assignments[u] = k
     return assignments
 
@@ -340,7 +354,9 @@ def patch_per_row_transform_step(monkeypatch):
 def patch_level_order_transform_step(monkeypatch):
     """Run `cmtrf.core`'s transform and relocation steps as the loops above."""
     monkeypatch.setattr(core._TrainData, "grouped_aggregates", level_aggregates)
-    monkeypatch.setattr(core, "_solve_transform_row", solve_transform_row_reversed)
+    monkeypatch.setattr(
+        sys.modules[__name__], "solve_transform_row", solve_transform_row_reversed
+    )
     monkeypatch.setattr(core, "_transform_rows", transform_rows_loop)
     monkeypatch.setattr(core, "_relocate", relocate_loop)
 

@@ -118,6 +118,14 @@ class TestPrepare:
         assert _run("train", "--train", src, "--out", tmp_path / "t") == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_timestamp_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "bad.tsv"
+        src.write_text("1\t1\t3\t1\n1\t2\t4\tnan\n2\t1\t4\tinf\n2\t2\t3\t4\n")
+        assert _run(
+            "prepare", src, "--skip-preprocess", "--out", tmp_path / "p"
+        ) == 2
+        assert "non-finite timestamp nan at line 2" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_same_seed_same_bytes(self, tmp_path):
@@ -207,7 +215,8 @@ class TestTrain:
 
 class TestEval:
     @pytest.mark.parametrize(
-        "mode", [["mf"], ["kcmtrf", "--k", 2]], ids=["mf", "kcmtrf"]
+        "mode", [["mf"], ["ncmtrf"], ["kcmtrf", "--k", 2]],
+        ids=["mf", "ncmtrf", "kcmtrf"],
     )
     def test_metrics_match_direct_evaluation(self, tmp_path, prepared, mode):
         # A saved bundle and the in-memory fit are scored by one path.
@@ -227,6 +236,7 @@ class TestEval:
         assert row["mse"] == trained["mse"]
         assert row["mae"] == trained["mae"]
         assert row["n_scored"] == trained["n_scored"]
+        assert row["K"] == trained["K"]
         assert 0 <= row["mse"] <= 16
         assert row["mae"] <= np.sqrt(row["mse"]) + 1e-9
 

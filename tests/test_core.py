@@ -7,6 +7,7 @@ from oracles import (
     patch_per_row_transform_step,
     patch_rescoring_loop,
     ridge_als_loop,
+    transform_rows_loop,
 )
 
 from cmtrf import core, factorization
@@ -20,7 +21,7 @@ from cmtrf.core import (
     fit_mf,
     fit_ncmtrf,
     init_clusters,
-    _solve_transform_row,
+    _transform_rows,
 )
 from cmtrf.data import SparseRatingDataset
 from cmtrf.divergence import GID, KL, SQUARED_LOSS
@@ -120,15 +121,36 @@ class TestTransformStep:
     def test_single_used_level_matches_pooled_mean(self):
         counts = np.array([0.0, 0, 1, 0, 0])  # position order; level 2 only
         means = np.array([0.0, 0, 2.7, 0, 0])
-        row = _solve_transform_row(counts, means, 0.5, SQUARED_LOSS)
-        tr = RatingScaleTransform(row, 0.5)
+        row = _transform_rows(
+            counts[None], means[None], 0.5, SQUARED_LOSS, np.zeros((1, 5))
+        )
+        tr = RatingScaleTransform(row[0], 0.5)
         assert tr.value_for_level(2) == pytest.approx(2.7)
 
     def test_separated_predictions_identity_projection(self):
         counts = np.ones(5)
         means = np.arange(5.0, 0.0, -1)  # position order, margin-separated
-        row = _solve_transform_row(counts, means, 0.5, SQUARED_LOSS)
-        np.testing.assert_allclose(row, [5, 4, 3, 2, 1])
+        row = _transform_rows(
+            counts[None], means[None], 0.5, SQUARED_LOSS, np.zeros((1, 5))
+        )
+        np.testing.assert_allclose(row[0], [5, 4, 3, 2, 1])
+
+    @pytest.mark.parametrize("div", [SQUARED_LOSS, KL, GID], ids=lambda d: d.name)
+    def test_matches_per_row_step(self, div):
+        # Wide scales of small targets push positive-domain rows below the
+        # boundary, so the lift is exercised as well as the fit.
+        rng = np.random.default_rng(7)
+        lifted = 0
+        for _ in range(40):
+            g, n = int(rng.integers(1, 30)), int(rng.integers(2, 12))
+            counts = rng.integers(0, 3, (g, n)).astype(float)
+            means = np.round(rng.uniform(-2.0, 3.0, (g, n)), 2)
+            fallback = rng.normal(size=(g, n))
+            expected = transform_rows_loop(counts, means, 0.5, div, fallback)
+            rows = _transform_rows(counts, means, 0.5, div, fallback)
+            assert np.array_equal(rows, expected)
+            lifted += int(np.sum(np.abs(rows[:, -1] - 1e-6) < 1e-12))
+        assert (lifted > 0) == div.positive_first_arg
 
 
 class TestFit1:
@@ -492,7 +514,7 @@ class TestMatchesLevelOrderTransformStep:
 
 
 class TestMatchesPerRowTransformStep:
-    """Every fit is unchanged by fitting squared-loss rows in one pass."""
+    """Every fit is unchanged by fitting all transform rows in one pass."""
 
     @pytest.mark.parametrize("fit_fn, overrides", TRANSFORM_FITS)
     def test_fit_bit_identical(self, sd2_small, monkeypatch, fit_fn, overrides):
@@ -501,49 +523,22 @@ class TestMatchesPerRowTransformStep:
             fit_fn, overrides,
         )
 
-
-def _isotonic_calls(monkeypatch):
-    """A list that grows by one per `fit_margin_isotonic` call in core."""
-    calls = []
-    fit = core.fit_margin_isotonic
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(core, "fit_margin_isotonic", counting)
-    return calls
-
-
-class TestTransformDispatch:
-    """Squared loss below 8 levels is fitted in one batched pass; longer
-    scales and the other divergences fit one row at a time."""
-
     @pytest.mark.parametrize("fit_fn", [fit_1cmtrf, fit_ncmtrf],
                              ids=["1cmtrf", "ncmtrf"])
-    @pytest.mark.parametrize("n_levels, per_row", [(10, True), (7, False)])
-    def test_squared_loss(self, monkeypatch, fit_fn, n_levels, per_row):
+    @pytest.mark.parametrize("n_levels", [10, 7])
+    def test_scale_length_bit_identical(self, monkeypatch, fit_fn, n_levels):
+        # From 8 levels on, merged blocks pool through `_pooled_value`.
         ds = generate(SynthConfig(
             n_users=50, n_items=40, rank=3, n_levels=n_levels, kind="sd2",
             seed=3,
         )).dataset
         assert ds.n_levels == n_levels
         cfg = small_config(outer_max_iters=20)
-        calls = _isotonic_calls(monkeypatch)
         current = fit_fn(ds, cfg)
-        assert bool(calls) == per_row
         patch_per_row_transform_step(monkeypatch)
         older = fit_fn(ds, cfg)
         _assert_same_trajectory(current, older)
         assert current.trace == older.trace
-
-    def test_gid_fits_row_by_row(self, sd2_small, monkeypatch):
-        calls = _isotonic_calls(monkeypatch)
-        cfg = small_config(
-            mode="kcmtrf", n_clusters=20, div=GID, outer_max_iters=8
-        )
-        fit_kcmtrf(sd2_small, cfg)
-        assert calls
 
 
 class TestMatchesRescoringLoop:

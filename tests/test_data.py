@@ -55,6 +55,12 @@ class TestLoadTriplets:
         with pytest.raises(DataError, match="non-finite rating .* line 2"):
             load_triplets(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_reports_line(self, tmp_path, bad):
+        path = _write(tmp_path, ["1\t10\t4\t100", f"1\t11\t3\t{bad}"])
+        with pytest.raises(DataError, match="non-finite timestamp .* line 2"):
+            load_triplets(path)
+
     def test_duplicate_pairs_keep_last(self, tmp_path):
         path = _write(
             tmp_path, ["1\t10\t4\t100", "1\t10\t2\t200", "2\t10\t3\t50"]

@@ -251,31 +251,63 @@ class TestMatchesMemberListPAV:
         assert raised < 300
 
 
-def _stress_rows(rng):
-    """A (G, L) batch with holes, some rows with non-integer weights, and
-    rounded (tie-prone) means; every row has a positive count."""
-    g, n = int(rng.integers(1, 41)), int(rng.integers(1, 8))
+def _stress_rows(rng, div):
+    """A (G, L) batch, L 1-11, with holes, some rows with non-integer
+    weights, and rounded (tie-prone) targets; every row has a positive count."""
+    g, n = int(rng.integers(1, 41)), int(rng.integers(1, 12))
     counts = rng.integers(0, 4, (g, n)).astype(float)
     scaled = rng.random(g) < 0.3
     counts[scaled] *= rng.uniform(0.5, 1.5, (scaled.sum(), n))
     empty = ~(counts > 0).any(axis=1)
     counts[empty, rng.integers(n, size=empty.sum())] = 1.0
-    means = np.round(rng.normal(3.0, 2.0, (g, n)), int(rng.integers(0, 16)))
+    if div is SQUARED_LOSS:
+        raw = rng.normal(3.0, 2.0, (g, n))
+    else:
+        raw = rng.uniform(0.05, 6.0, (g, n))
+    targets = np.round(raw, int(rng.integers(0, 16)))
     eps = float(rng.choice([0.0, 0.1, 0.5, 1.3]))
-    return counts, means, eps
+    return counts, targets, eps
+
+
+def _batches_matching_rows(rng, div, n_batches):
+    """Fit `n_batches` stress batches and compare every row with the
+    member-list sweep; returns how many batches raised."""
+    raised = 0
+    for _ in range(n_batches):
+        counts, targets, eps = _stress_rows(rng, div)
+        problems = [
+            IsotonicProblem(targets[g], counts[g], eps)
+            for g in range(counts.shape[0])
+        ]
+        try:
+            rows = fit_margin_isotonic_rows(counts, targets, eps, div)
+        except Exception as exc:
+            raised += 1
+            row_errors = []
+            for problem in problems:
+                try:
+                    margin_isotonic_blocks(problem, div)
+                except Exception as row_exc:
+                    row_errors.append(type(row_exc))
+            assert type(exc) in row_errors
+            continue
+        for row, problem in zip(rows, problems):
+            assert np.array_equal(row, margin_isotonic_blocks(problem, div).values)
+    return raised
 
 
 class TestBatchedRowsMatchPerRowPAV:
-    """The batched squared-loss pass fits each row exactly as one problem."""
+    """The batched pass fits each row exactly as the member-list sweep."""
 
     def test_bit_identical_on_stress_batches(self):
         rng = np.random.default_rng(13)
-        for _ in range(3000):
-            counts, means, eps = _stress_rows(rng)
-            rows = fit_margin_isotonic_rows(counts, means, eps)
-            for g in range(counts.shape[0]):
-                problem = IsotonicProblem(means[g], counts[g], eps)
-                assert np.array_equal(rows[g], fit_margin_isotonic(problem).values)
+        assert _batches_matching_rows(rng, SQUARED_LOSS, 3000) == 0
+
+    @pytest.mark.parametrize("div", [KL, GID], ids=lambda d: d.name)
+    def test_bit_identical_on_bregman_batches(self, div):
+        rng = np.random.default_rng(17)
+        raised = _batches_matching_rows(rng, div, 100)
+        assert 0 < raised < 25
 
     def test_margin_violation_raises_like_transform(self):
         # One ulp of 1e17 is 16, so the shift by k * eps rounds away and the
