@@ -184,6 +184,11 @@ def _load_bundle(bundle_dir):
     model = load_model(os.path.join(bundle_dir, "model.txt"))
     with open(os.path.join(bundle_dir, "bundle.json")) as fh:
         bundle = json.load(fh)
+    if bundle["transforms"] is not None and bundle["assignments"] is None:
+        raise DataError(
+            f"{bundle_dir}: bundle has transforms but no user assignments; "
+            "retrain it"
+        )
     return model, bundle
 
 
@@ -244,7 +249,6 @@ def cmd_synth(args) -> int:
         n_items=args.items,
         rank=args.rank,
         n_levels=args.levels,
-        epsilon=args.epsilon,
         kind=args.kind,
         factor_mean=args.factor_mean,
         factor_std=args.factor_std,
@@ -569,7 +573,6 @@ def build_parser() -> _Parser:
     p.add_argument("--items", type=int, default=200)
     p.add_argument("--rank", type=int, default=5)
     p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--factor-mean", type=float, default=0.0)
     p.add_argument("--factor-std", type=float, default=1.0)
     p.add_argument("--density", type=float, default=1.0)

@@ -62,10 +62,10 @@ class TrainConfig:
             raise ValueError("n_clusters must be at least 1")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValueError("epsilon must be finite and nonnegative")
+        if not np.isfinite(self.tol) or self.tol <= 0:
+            raise ValueError("tol must be finite and positive")
         if self.outer_max_iters < 1 or self.inner_sweeps < 1:
             raise ValueError("iteration counts must be at least 1")
 
@@ -99,7 +99,7 @@ class FitResult:
     mode: str
     model: FactorModel
     transforms: np.ndarray | None  # (T, L); None for the plain-MF ablation
-    assignments: np.ndarray | None
+    assignments: np.ndarray | None  # (N,) transform row per user; None for MF
     epsilon: float
     trace: list  # dicts: {"iter", "phase", "objective"}
     stop_reason: str  # "tol", "max_iters" or "objective_increased"
@@ -329,7 +329,6 @@ def _run_alternating(
     config: TrainConfig,
     owner: np.ndarray,
     transforms: np.ndarray,
-    assignments: np.ndarray | None,
     model: FactorModel | None,
     relocate: bool,
 ) -> FitResult:
@@ -339,7 +338,7 @@ def _run_alternating(
     every phase reads, and refreshes each only when one of its inputs
     changes. In mode ``mf`` the transforms stay frozen: the loop skips the
     warm-up factorization and the transform phase, and the result carries
-    no transforms.
+    no transforms. Otherwise the result's `assignments` is the final `owner`.
     """
     div, reg, eps = config.div, config.reg, config.epsilon
     transform_phase = config.mode != "mf"
@@ -377,13 +376,14 @@ def _run_alternating(
     stop_reason = "max_iters"
     for it in range(1, config.outer_max_iters + 1):
         prev_objective = trace.last
-        prev_assignments = None if assignments is None else assignments.copy()
+        moved = 0
 
         if transform_phase:
             if relocate:
-                assignments = owner = _relocate(data, transforms, scores, div, eps)
+                prev_owner = owner
+                owner = _relocate(data, transforms, scores, div, eps)
                 targets = _targets(transforms, owner, data)
-                moved = int((assignments != prev_assignments).sum())
+                moved = int((owner != prev_owner).sum())
                 record(it, "assign", changes=moved)
             group_counts, group_means = data.grouped_aggregates(
                 owner, transforms.shape[0], scores
@@ -397,13 +397,8 @@ def _run_alternating(
         factorize()
         record(it, "factorize")
 
-        stable = (
-            prev_assignments is None
-            or assignments is None
-            or np.array_equal(prev_assignments, assignments)
-        )
         reason = trace.stop_reason(
-            config.mode, prev_objective, stable, config.tol
+            config.mode, prev_objective, moved == 0, config.tol
         )
         if reason is not None:
             stop_reason = reason
@@ -413,7 +408,7 @@ def _run_alternating(
         mode=config.mode,
         model=model,
         transforms=transforms if transform_phase else None,
-        assignments=None if assignments is None else assignments.copy(),
+        assignments=owner if transform_phase else None,
         epsilon=eps,
         trace=trace.records,
         stop_reason=stop_reason,
@@ -430,7 +425,7 @@ def fit_1cmtrf(
     cfg = replace(config, mode="1cmtrf")
     transforms = _base_rows(1, data.n_levels, cfg.epsilon)
     owner = np.zeros(data.n_users, dtype=np.int64)
-    return _run_alternating(data, cfg, owner, transforms, None, init, False)
+    return _run_alternating(data, cfg, owner, transforms, init, False)
 
 
 def fit_ncmtrf(
@@ -443,7 +438,7 @@ def fit_ncmtrf(
     cfg = replace(config, mode="ncmtrf")
     transforms = _base_rows(data.n_users, data.n_levels, cfg.epsilon)
     owner = np.arange(data.n_users, dtype=np.int64)
-    return _run_alternating(data, cfg, owner, transforms, None, init, False)
+    return _run_alternating(data, cfg, owner, transforms, init, False)
 
 
 def fit_kcmtrf(
@@ -484,9 +479,7 @@ def fit_kcmtrf(
         assignments = init_state.assignments.copy()
 
     relocate = not freeze_assignments and k > 1
-    return _run_alternating(
-        data, cfg, assignments, transforms, assignments, init, relocate
-    )
+    return _run_alternating(data, cfg, assignments, transforms, init, relocate)
 
 
 def fit_mf(
@@ -499,7 +492,7 @@ def fit_mf(
     transforms = data.level_vocab[::-1][None, :]
     owner = np.zeros(data.n_users, dtype=np.int64)
     cfg = replace(config, mode="mf")
-    return _run_alternating(data, cfg, owner, transforms, None, init, False)
+    return _run_alternating(data, cfg, owner, transforms, init, False)
 
 
 def fit(dataset: SparseRatingDataset, config: TrainConfig) -> FitResult:

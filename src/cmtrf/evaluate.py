@@ -72,35 +72,20 @@ def predict_ratings(
 ) -> np.ndarray:
     """Factor scores mapped through each user's inverse transform.
 
-    `transforms` is a (T, L) array of descending transform rows: one shared
-    row, one per user, or one per cluster with `assignments` routing users
-    to rows. ``None`` means the plain-MF ablation, which has no transform:
-    its scores are clipped to ``[level_vocab[0], level_vocab[-1]]``.
+    `transforms` is a (T, L) array of descending transform rows and
+    `assignments` the (N,) row of each user, as a transform fit returns
+    them. ``None`` transforms mean the plain-MF ablation, which has no
+    transform: its scores are clipped to ``[level_vocab[0], level_vocab[-1]]``.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     scores = predict_scores(model, pairs)
     if transforms is None:
         vocab = np.asarray(level_vocab, dtype=float)
         return np.clip(scores, vocab[0], vocab[-1])
-    if isinstance(transforms, RatingScaleTransform):
-        transforms = transforms.values[None, :]
+    if assignments is None:
+        raise ValueError("transform rows need the assignments of users to rows")
     transforms = np.asarray(transforms, dtype=float)
-    if transforms.ndim == 1:
-        transforms = transforms[None, :]
-
-    n_rows = transforms.shape[0]
-    if assignments is not None:
-        assignments = np.asarray(assignments, dtype=np.int64)
-        owner = assignments[pairs[:, 0]]
-    elif n_rows == 1:
-        owner = np.zeros(pairs.shape[0], dtype=np.int64)
-    elif n_rows == model.n_users:
-        owner = pairs[:, 0]
-    else:
-        raise ValueError(
-            "transform rows match neither one-for-all nor one-per-user; "
-            "cluster assignments are required"
-        )
+    owner = np.asarray(assignments, dtype=np.int64)[pairs[:, 0]]
 
     order = np.argsort(owner, kind="stable")
     rows, starts = np.unique(owner[order], return_index=True)

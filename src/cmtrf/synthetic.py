@@ -27,7 +27,6 @@ class SynthConfig:
     n_items: int = 200
     rank: int = 5
     n_levels: int = 5
-    epsilon: float = 0.5
     kind: str = "sd1"  # "sd1" or "sd2"
     factor_mean: float = 0.0
     factor_std: float = 1.0
@@ -43,8 +42,6 @@ class SynthConfig:
             raise ValueError("density must lie in (0, 1]")
         if self.kind not in ("sd1", "sd2"):
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
 
 
 @dataclass

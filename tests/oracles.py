@@ -376,9 +376,14 @@ def rescoring_objective(users, items, targets, model, reg, div, index):
     return float(loss)
 
 
-def rescoring_loop(data, config, owner, transforms, assignments, model, relocate):
-    """The shared outer loop, gathering targets and scores per record."""
+def rescoring_loop(data, config, owner, transforms, model, relocate):
+    """The shared outer loop, gathering targets and scores per record.
+
+    Its stop rule compares the assignments before and after each relocation,
+    and it returns `owner` as the assignments of every transform fit.
+    """
     div, reg, eps = config.div, config.reg, config.epsilon
+    assignments = owner if relocate else None
     transform_phase = config.mode != "mf"
     if model is None:
         model = core.init_model(
@@ -457,7 +462,7 @@ def rescoring_loop(data, config, owner, transforms, assignments, model, relocate
         mode=config.mode,
         model=model,
         transforms=transforms if transform_phase else None,
-        assignments=None if assignments is None else assignments.copy(),
+        assignments=owner if transform_phase else None,
         epsilon=eps,
         trace=trace.records,
         stop_reason=stop_reason,

@@ -215,8 +215,8 @@ class TestTrain:
 
 class TestEval:
     @pytest.mark.parametrize(
-        "mode", [["mf"], ["ncmtrf"], ["kcmtrf", "--k", 2]],
-        ids=["mf", "ncmtrf", "kcmtrf"],
+        "mode", [["mf"], ["1cmtrf"], ["ncmtrf"], ["kcmtrf", "--k", 2]],
+        ids=["mf", "1cmtrf", "ncmtrf", "kcmtrf"],
     )
     def test_metrics_match_direct_evaluation(self, tmp_path, prepared, mode):
         # A saved bundle and the in-memory fit are scored by one path.
@@ -239,6 +239,26 @@ class TestEval:
         assert row["K"] == trained["K"]
         assert 0 <= row["mse"] <= 16
         assert row["mae"] <= np.sqrt(row["mse"]) + 1e-9
+
+    def test_bundle_without_assignments_is_data_error(
+        self, tmp_path, prepared, capsys
+    ):
+        # Bundles of per-user fits once stored `null` for the owner map.
+        train_out = tmp_path / "m3"
+        assert _run(
+            "train", "--train", prepared / "train.tsv", "--mode", "ncmtrf",
+            "--d", 2, "--max-outer", 5, "--out", train_out,
+        ) == 0
+        bundle_path = train_out / "d2" / "bundle.json"
+        bundle = json.loads(bundle_path.read_text())
+        bundle["assignments"] = None
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert _run(
+            "eval", "--model", train_out / "d2", "--data", prepared / "test.tsv",
+            "--out", tmp_path / "e3",
+        ) == 2
+        assert str(train_out / "d2") in capsys.readouterr().err
 
     def test_unknown_labels_is_data_error(self, tmp_path, prepared):
         train_out = tmp_path / "m2"
@@ -437,6 +457,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--no-such-flag"])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--tol", "--epsilon"])
+    def test_non_finite_config_value_exits_one(
+        self, tmp_path, prepared, capsys, flag, value
+    ):
+        assert _run(
+            "train", "--train", prepared / "train.tsv", "--mode", "1cmtrf",
+            "--d", 2, "--max-outer", 3, flag, value, "--out", tmp_path / "bad",
+        ) == 1
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
     def test_bad_config_value_exits_one(self, tmp_path, prepared):
         assert _run(

@@ -163,7 +163,8 @@ class TestFit1:
         result = fit_1cmtrf(ds, cfg)
         pairs = np.column_stack([ds.users, ds.items])
         preds = predict_ratings(
-            result.model, result.transforms, pairs, ds.level_vocab
+            result.model, result.transforms, pairs, ds.level_vocab,
+            result.assignments,
         )
         assert mse(preds, ds.raw_values) <= 1e-3
         # The learned scale stays affine in the base scale: equal gaps.
@@ -248,10 +249,12 @@ class TestFitN:
         assert not np.allclose(n_result.transforms[0], n_result.transforms[1])
         pairs = np.column_stack([ds.users, ds.items])
         n_preds = predict_ratings(
-            n_result.model, n_result.transforms, pairs, ds.level_vocab
+            n_result.model, n_result.transforms, pairs, ds.level_vocab,
+            n_result.assignments,
         )
         one_preds = predict_ratings(
-            one_result.model, one_result.transforms, pairs, ds.level_vocab
+            one_result.model, one_result.transforms, pairs, ds.level_vocab,
+            one_result.assignments,
         )
         assert mse(n_preds, ds.raw_values) < mse(one_preds, ds.raw_values)
 
@@ -320,7 +323,7 @@ def _fake_n_result(transform_rows):
         mode="ncmtrf",
         model=model,
         transforms=rows,
-        assignments=None,
+        assignments=np.arange(n),
         epsilon=0.5,
         trace=[{"iter": 0, "phase": "init", "objective": 0.0}],
         stop_reason="tol",
@@ -657,7 +660,52 @@ class TestFitMF:
         assert folded.transforms is None and folded.assignments is None
 
 
+class TestOwnerMap:
+    @pytest.mark.parametrize(
+        "fit_fn, overrides",
+        [
+            (fit_1cmtrf, {}),
+            (fit_ncmtrf, {}),
+            (fit_kcmtrf, dict(mode="kcmtrf", n_clusters=4)),
+            (fit_mf, dict(mode="mf")),
+        ],
+        ids=["1cmtrf", "ncmtrf", "kcmtrf", "mf"],
+    )
+    def test_fit_returns_each_users_transform_row(
+        self, sd2_small, fit_fn, overrides
+    ):
+        result = fit_fn(sd2_small, small_config(outer_max_iters=5, **overrides))
+        owner = result.assignments
+        if fit_fn is fit_mf:
+            assert owner is None
+            return
+        assert owner.shape == (sd2_small.n_users,) and owner.dtype == np.int64
+        if fit_fn is fit_1cmtrf:
+            assert np.array_equal(owner, np.zeros(sd2_small.n_users))
+        elif fit_fn is fit_ncmtrf:
+            assert np.array_equal(owner, np.arange(sd2_small.n_users))
+        else:
+            assert owner.min() >= 0 and owner.max() < 4
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["tol", "epsilon"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            small_config(**{name: value})
+
+
 class TestStopReason:
+    def test_tol_waits_for_relocation_to_settle(self, sd2_small):
+        # Every drop is below this tol, so the fit stops at the first
+        # iteration whose relocation moved no user, and not before.
+        cfg = small_config(mode="kcmtrf", n_clusters=4, tol=1e3)
+        result = fit_kcmtrf(sd2_small, cfg)
+        moves = [r["changes"] for r in result.trace if r["phase"] == "assign"]
+        assert result.stop_reason == "tol"
+        assert len(moves) > 1 and all(moves[:-1]) and moves[-1] == 0
+
     @pytest.mark.parametrize("fit_fn", [fit_1cmtrf, fit_mf])
     def test_rising_objective_stops_the_fit(self, sd2_small, monkeypatch, fit_fn):
         solve = core.solve_factors

@@ -77,18 +77,20 @@ class TestPredictRatings:
     def test_identity_transform_passthrough(self):
         model = self._model()
         transforms = np.array([[5.0, 4, 3, 2, 1]])
-        out = predict_ratings(model, transforms, [(0, 0)], np.arange(1.0, 6.0))
+        out = predict_ratings(
+            model, transforms, [(0, 0)], np.arange(1.0, 6.0), np.zeros(3)
+        )
         assert out[0] == pytest.approx(4.2)
 
     def test_cluster_routing(self):
         model = self._model()
         transforms = np.array([[5.0, 4, 3, 2, 1], [10.0, 8, 6, 4, 2]])
-        assignments = np.array([0, 1, 0])
+        assignments = np.array([1, 1, 0])
         out = predict_ratings(
             model, transforms, [(1, 0), (0, 1)], np.arange(1.0, 6.0), assignments
         )
         assert out[0] == pytest.approx(3.0)  # user 1 routes through cluster 1
-        assert out[1] == pytest.approx(4.2)
+        assert out[1] == pytest.approx(2.1)  # and so does user 0
 
     def test_per_user_transforms(self):
         model = self._model()
@@ -96,7 +98,8 @@ class TestPredictRatings:
             [[5.0, 4, 3, 2, 1], [10.0, 8, 6, 4, 2], [5.0, 4, 3, 2, 1]]
         )
         out = predict_ratings(
-            model, transforms, [(1, 0), (2, 0)], np.arange(1.0, 6.0)
+            model, transforms, [(1, 0), (2, 0)], np.arange(1.0, 6.0),
+            np.arange(3),
         )
         assert out[0] == pytest.approx(3.0)
         assert out[1] == pytest.approx(2.0)
@@ -104,7 +107,9 @@ class TestPredictRatings:
     def test_score_at_knot_returns_level_value(self):
         model = FactorModel(np.array([[4.0]]), np.array([[1.0]]))
         transforms = np.array([[8.0, 6.5, 4.0, 2.0, 0.5]])
-        out = predict_ratings(model, transforms, [(0, 0)], np.arange(1.0, 6.0))
+        out = predict_ratings(
+            model, transforms, [(0, 0)], np.arange(1.0, 6.0), np.zeros(1)
+        )
         assert out[0] == pytest.approx(3.0)  # knot of level index 2
 
     def test_no_transform_clips_scores_to_the_scale(self):
@@ -137,7 +142,7 @@ class TestPredictRatings:
             assignments = rng.integers(0, n_rows, n_users)
             owner = assignments[pairs[:, 0]]
         else:
-            assignments = None
+            assignments = np.arange(n_users)
             owner = pairs[:, 0]
         got = predict_ratings(model, transforms, pairs, vocab, assignments)
         want = predict_loop(
@@ -149,18 +154,19 @@ class TestPredictRatings:
         model = self._model()
         with pytest.raises(IndexError):
             predict_ratings(
-                model, np.array([[5.0, 4, 3, 2, 1]]), [(9, 0)], np.arange(1.0, 6.0)
+                model, np.array([[5.0, 4, 3, 2, 1]]), [(9, 0)],
+                np.arange(1.0, 6.0), np.zeros(3),
             )
 
-    def test_ambiguous_transform_rows_rejected(self):
+    def test_transform_rows_without_assignments_rejected(self):
+        # One row for all, one per user or neither: rows alone route no user.
         model = self._model()
-        with pytest.raises(ValueError):
-            predict_ratings(
-                model,
-                np.array([[5.0, 4, 3, 2, 1], [6.0, 5, 4, 3, 2]]),
-                [(0, 0)],
-                np.arange(1.0, 6.0),
-            )
+        for n_rows in (1, 3, 2):
+            transforms = np.arange(5.0, 0, -1) + np.arange(n_rows)[:, None]
+            with pytest.raises(ValueError, match="assignments"):
+                predict_ratings(
+                    model, transforms, [(0, 0)], np.arange(1.0, 6.0)
+                )
 
 
 class TestMetrics:
