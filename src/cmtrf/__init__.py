@@ -29,8 +29,8 @@ from .data import (
     write_triplets,
 )
 from .divergence import GID, KL, SQUARED_LOSS, DivergenceSpec, by_name
-from .errors import CmtrfError, DataError, DomainError, NumericalError
-from .evaluate import InverseTransform, build_inverse, mae, mse, predict_ratings
+from .errors import CmtrfError, DataError, DomainError
+from .evaluate import build_inverse, mae, mse, predict_ratings
 from .factorization import (
     FactorModel,
     RegularizationConfig,
@@ -55,10 +55,8 @@ __all__ = [
     "FactorModel",
     "FitResult",
     "GID",
-    "InverseTransform",
     "IsotonicProblem",
     "KL",
-    "NumericalError",
     "RatingScaleTransform",
     "RegularizationConfig",
     "SQUARED_LOSS",

@@ -38,7 +38,7 @@ from .data import (
     write_triplets,
 )
 from .divergence import by_name
-from .errors import DataError, DomainError, NumericalError
+from .errors import DataError, DomainError
 from .evaluate import mae, mse, predict_ratings
 from .factorization import RegularizationConfig, load_model, save_model
 from .synthetic import SynthConfig, generate
@@ -151,6 +151,12 @@ def _score(model, transforms, assignments, ds: SparseRatingDataset):
 # model bundles (a trained run on disk)
 
 
+# The settings `eval` reads from a bundle.
+_BUNDLE_KEYS = {"mode", "n_clusters", "rank", "lambda_u", "lambda_v", "epsilon",
+                "level_vocab", "user_labels", "item_labels", "transforms",
+                "assignments"}
+
+
 def _save_bundle(out_dir, result: core.FitResult, train: SparseRatingDataset, cfg):
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.txt")
@@ -181,14 +187,28 @@ def _save_bundle(out_dir, result: core.FitResult, train: SparseRatingDataset, cf
 
 
 def _load_bundle(bundle_dir):
-    model = load_model(os.path.join(bundle_dir, "model.txt"))
-    with open(os.path.join(bundle_dir, "bundle.json")) as fh:
-        bundle = json.load(fh)
-    if bundle["transforms"] is not None and bundle["assignments"] is None:
-        raise DataError(
-            f"{bundle_dir}: bundle has transforms but no user assignments; "
-            "retrain it"
-        )
+    """A bundle's model and settings, checked before anything is scored."""
+    try:
+        model = load_model(os.path.join(bundle_dir, "model.txt"))
+        with open(os.path.join(bundle_dir, "bundle.json")) as fh:
+            bundle = json.load(fh)
+        if missing := sorted(_BUNDLE_KEYS.difference(bundle)):
+            raise ValueError(f"bundle.json lacks {', '.join(missing)}")
+        n_users, n_levels = len(bundle["user_labels"]), len(bundle["level_vocab"])
+        if (model.n_users, model.n_items) != (n_users, len(bundle["item_labels"])):
+            raise ValueError("model rows differ from the user and item labels")
+        if bundle["transforms"] is not None:
+            if bundle["assignments"] is None:
+                raise ValueError("transforms but no user assignments; retrain it")
+            state = core.ClusterState(
+                bundle["assignments"], bundle["transforms"], bundle["epsilon"]
+            )
+            if state.assignments.shape != (n_users,) or (
+                state.transforms.shape[1] != n_levels
+            ):
+                raise ValueError("need one owner per user and one column per level")
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{bundle_dir}: malformed bundle: {exc}") from None
     return model, bundle
 
 
@@ -620,7 +640,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"cmtrf: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DomainError, NumericalError, np.linalg.LinAlgError) as exc:
+    except (DomainError, np.linalg.LinAlgError) as exc:
         print(f"cmtrf: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

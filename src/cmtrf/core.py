@@ -30,7 +30,7 @@ from .factorization import (
     regularized_objective,
     solve_factors,
 )
-from .isotonic import RatingScaleTransform, fit_margin_isotonic_rows
+from .isotonic import RatingScaleTransform, _check_margins, fit_margin_isotonic_rows
 # Unused here: the benchmark's tracer wraps it under this module's name.
 from .isotonic import fit_margin_isotonic  # noqa: F401
 
@@ -81,13 +81,14 @@ class ClusterState:
     def __post_init__(self):
         self.assignments = np.asarray(self.assignments, dtype=np.int64)
         self.transforms = np.asarray(self.transforms, dtype=float)
+        if self.transforms.ndim != 2 or not self.transforms.size or self.epsilon < 0:
+            raise ValueError("need nonempty 2-d transforms and epsilon >= 0")
         k = self.transforms.shape[0]
         if not 1 <= k <= self.assignments.size:
             raise ValueError("need 1 <= n_clusters <= n_users")
         if self.assignments.min() < 0 or self.assignments.max() >= k:
             raise ValueError("assignment index out of range")
-        for row in self.transforms:
-            RatingScaleTransform(row, self.epsilon)  # validates margins
+        _check_margins(self.transforms, self.epsilon)
 
     @property
     def n_clusters(self) -> int:

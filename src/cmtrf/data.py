@@ -175,7 +175,12 @@ def load_triplets(
         if all(s is None for s in stamps):
             stamps = []
         elif any(s is None for s in stamps):
-            raise DataError(f"{path}: timestamps present on only some rows")
+            row = [s is None for s in stamps].index(stamps[0] is not None)
+            with open(path) as fh:
+                lineno = [n for n, line in enumerate(fh, 1) if line.strip()][row]
+            raise DataError(
+                f"{path}: timestamps present on only some rows, at line {lineno}"
+            )
 
     def _encode(labels):
         # Integer labels only when every label is its integer's own text, so

@@ -11,7 +11,3 @@ class DomainError(CmtrfError, ValueError):
 
 class DataError(CmtrfError, ValueError):
     """Malformed, empty, or inconsistent rating data."""
-
-
-class NumericalError(CmtrfError, RuntimeError):
-    """A solver failed to produce a usable result."""

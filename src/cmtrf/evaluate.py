@@ -7,60 +7,37 @@ to the extreme rating values outside the knot range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .factorization import FactorModel, predict_scores
-from .isotonic import RatingScaleTransform
 
 
-@dataclass
-class InverseTransform:
-    """Monotone piecewise-linear map from latent scores to rating values."""
+def build_inverse(transform, level_vocab):
+    """Inverse of a descending transform row over a raw rating vocabulary.
 
-    latents: np.ndarray  # ascending knot positions
-    values: np.ndarray  # raw rating value at each knot
-
-    def __post_init__(self):
-        self.latents = np.asarray(self.latents, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.latents.shape != self.values.shape:
-            raise ValueError("knot arrays must have equal length")
-        if np.any(np.diff(self.latents) <= 0) or np.any(np.diff(self.values) <= 0):
-            raise ValueError("knots must be strictly increasing")
-
-    def __call__(self, scores) -> np.ndarray:
-        # np.interp clamps to the first/last knot value outside the range.
-        return np.interp(np.asarray(scores, dtype=float), self.latents, self.values)
-
-
-def build_inverse(transform, level_vocab) -> InverseTransform:
-    """Inverse of a fitted transform over a raw rating vocabulary.
-
-    `transform` may be a RatingScaleTransform or its descending value row.
-    Adjacent levels whose latent values coincide (possible only with a zero
-    margin) collapse into one knot at their average raw value.
+    Returns a callable that maps latent scores to rating values, clamping to
+    the first or last knot value outside the knot range. Adjacent levels
+    whose latent values coincide (possible only with a zero margin) collapse
+    into one knot at their average raw value.
     """
-    values = (
-        transform.values
-        if isinstance(transform, RatingScaleTransform)
-        else np.asarray(transform, dtype=float)
-    )
-    latents = values[::-1]  # ascending, aligned with the ascending vocabulary
+    latents = np.asarray(transform, dtype=float)[::-1]  # ascending, as vocab
     vocab = np.asarray(level_vocab, dtype=float)
     if latents.shape != vocab.shape:
         raise ValueError("transform length differs from vocabulary length")
-    if np.all(np.diff(latents) > 0):
-        return InverseTransform(latents, vocab)
-    keep_lat, keep_val = [], []
-    start = 0
-    for stop in range(1, latents.size + 1):
-        if stop == latents.size or latents[stop] > latents[start]:
-            keep_lat.append(latents[start])
-            keep_val.append(vocab[start:stop].mean())
-            start = stop
-    return InverseTransform(np.asarray(keep_lat), np.asarray(keep_val))
+    if not np.all(np.diff(latents) > 0):
+        keep_lat, keep_val = [], []
+        start = 0
+        for stop in range(1, latents.size + 1):
+            if stop == latents.size or latents[stop] > latents[start]:
+                keep_lat.append(latents[start])
+                keep_val.append(vocab[start:stop].mean())
+                start = stop
+        latents, vocab = np.asarray(keep_lat), np.asarray(keep_val)
+    if np.any(np.diff(latents) <= 0) or np.any(np.diff(vocab) <= 0):
+        raise ValueError("knots must be strictly increasing")
+    return partial(np.interp, xp=latents, fp=vocab)
 
 
 def predict_ratings(
@@ -89,6 +66,8 @@ def predict_ratings(
 
     order = np.argsort(owner, kind="stable")
     rows, starts = np.unique(owner[order], return_index=True)
+    if rows.size and (rows[0] < 0 or rows[-1] >= transforms.shape[0]):
+        raise ValueError("assignment index out of range")
     out = np.empty_like(scores)
     for row, idx in zip(rows, np.split(order, starts[1:])):
         out[idx] = build_inverse(transforms[row], level_vocab)(scores[idx])

@@ -21,6 +21,9 @@ rating values, with the same trace and stop rule.
 
 `predict_loop` is the per-owner prediction loop that `predict_ratings` ran
 before it grouped pairs with one sort: a full-length mask per owner.
+`build_inverse` and `InverseTransform` are the inverse as it was built
+before it became a plain interpolating callable over a descending row: it
+also took a `RatingScaleTransform` and returned a checked knot object.
 
 `margin_isotonic_blocks` is the PAV sweep that `fit_margin_isotonic` ran
 before it kept its blocks as a start/value stack: each block a member list.
@@ -47,12 +50,11 @@ runs every fit through both.
 """
 import itertools
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from cmtrf import core, factorization
-from cmtrf.evaluate import build_inverse
 from cmtrf.isotonic import IsotonicProblem, RatingScaleTransform, _pooled_value
 
 
@@ -201,6 +203,54 @@ def mf_loop(dataset, config, init=None):
         trace=trace.records,
         stop_reason=stop_reason,
     )
+
+
+@dataclass
+class InverseTransform:
+    """Monotone piecewise-linear map from latent scores to rating values."""
+
+    latents: np.ndarray  # ascending knot positions
+    values: np.ndarray  # raw rating value at each knot
+
+    def __post_init__(self):
+        self.latents = np.asarray(self.latents, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.latents.shape != self.values.shape:
+            raise ValueError("knot arrays must have equal length")
+        if np.any(np.diff(self.latents) <= 0) or np.any(np.diff(self.values) <= 0):
+            raise ValueError("knots must be strictly increasing")
+
+    def __call__(self, scores) -> np.ndarray:
+        # np.interp clamps to the first/last knot value outside the range.
+        return np.interp(np.asarray(scores, dtype=float), self.latents, self.values)
+
+
+def build_inverse(transform, level_vocab) -> InverseTransform:
+    """Inverse of a fitted transform over a raw rating vocabulary.
+
+    `transform` may be a RatingScaleTransform or its descending value row.
+    Adjacent levels whose latent values coincide (possible only with a zero
+    margin) collapse into one knot at their average raw value.
+    """
+    values = (
+        transform.values
+        if isinstance(transform, RatingScaleTransform)
+        else np.asarray(transform, dtype=float)
+    )
+    latents = values[::-1]  # ascending, aligned with the ascending vocabulary
+    vocab = np.asarray(level_vocab, dtype=float)
+    if latents.shape != vocab.shape:
+        raise ValueError("transform length differs from vocabulary length")
+    if np.all(np.diff(latents) > 0):
+        return InverseTransform(latents, vocab)
+    keep_lat, keep_val = [], []
+    start = 0
+    for stop in range(1, latents.size + 1):
+        if stop == latents.size or latents[stop] > latents[start]:
+            keep_lat.append(latents[start])
+            keep_val.append(vocab[start:stop].mean())
+            start = stop
+    return InverseTransform(np.asarray(keep_lat), np.asarray(keep_val))
 
 
 def predict_loop(scores, transforms, owner, level_vocab):

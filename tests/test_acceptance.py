@@ -369,7 +369,7 @@ def test_criterion_8_invariant_suites():
             [[rng.normal()], rng.uniform(0.5, 2, 4)]
         ).cumsum()[::-1]
         transform = RatingScaleTransform(values, 0.5)
-        inverse = build_inverse(transform, vocab)
+        inverse = build_inverse(transform.values, vocab)
         for level in range(5):
             assert inverse(transform.value_for_level(level)) == pytest.approx(
                 vocab[level]

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from cmtrf import core
 from cmtrf.cli import main
 from cmtrf.data import load_triplets
+from cmtrf.errors import DomainError
 
 
 def _run(*argv):
@@ -274,6 +277,115 @@ class TestEval:
         ) == 2
 
 
+def _edit(name, edit):
+    """A bundle tamper that rewrites file `name` as `edit` of its text."""
+    def tamper(bundle_dir):
+        path = bundle_dir / name
+        path.write_text(edit(path.read_text()))
+    return tamper
+
+
+def _set(key, edit):
+    """A tamper that replaces a bundle setting with `edit(value, bundle)`."""
+    def change(text):
+        bundle = json.loads(text)
+        return json.dumps({**bundle, key: edit(bundle[key], bundle)})
+    return _edit("bundle.json", change)
+
+
+def _first_row(edit):
+    return _set("transforms", lambda rows, b: [edit(rows[0], b)] + rows[1:])
+
+
+def _drop_rank(text):
+    return json.dumps({k: v for k, v in json.loads(text).items() if k != "rank"})
+
+
+def _drop_last_user(text):
+    header, _, *rest = text.splitlines(True)
+    rank, n_users, n_items = header.split()
+    return "".join([f"{rank} {int(n_users) - 1} {n_items}\n", *rest])
+
+
+MALFORMED_BUNDLES = {
+    "owner-negative": _set("assignments", lambda a, b: [-1] + a[1:]),
+    "ascending-row": _first_row(lambda row, b: row[::-1]),
+    "gap-below-epsilon": _first_row(
+        lambda row, b: [row[0], row[0] - b["epsilon"] / 4, *row[2:]]
+    ),
+    "owner-past-the-rows": _set(
+        "assignments", lambda a, b: [len(b["transforms"])] + a[1:]
+    ),
+    "owner-map-short": _set("assignments", lambda a, b: a[:-1]),
+    "owner-map-long": _set("assignments", lambda a, b: a + [0]),
+    "missing-key": _edit("bundle.json", _drop_rank),
+    "malformed-json": _edit("bundle.json", lambda text: text[:-40]),
+    "malformed-model-header": _edit(
+        "model.txt", lambda text: "2 x 20\n" + text.split("\n", 1)[1]
+    ),
+    "rows-shorter-than-vocab": _set(
+        "transforms", lambda rows, b: [row[:-1] for row in rows]
+    ),
+    "model-rows-short-of-labels": _edit("model.txt", _drop_last_user),
+}
+
+
+@pytest.fixture(scope="module")
+def ncmtrf_run(tmp_path_factory):
+    """An ncmtrf bundle and the test file it scores."""
+    root = tmp_path_factory.mktemp("ncmtrf")
+    assert _run(
+        "synth", "--kind", "sd1", "--users", 30, "--items", 20,
+        "--rank", 2, "--seed", 1, "--out", root / "synth",
+    ) == 0
+    assert _run(
+        "prepare", root / "synth" / "ratings.tsv", "--split", "uniform",
+        "--seed", 3, "--out", root / "prep",
+    ) == 0
+    assert _run(
+        "train", "--train", root / "prep" / "train.tsv", "--mode", "ncmtrf",
+        "--d", 2, "--max-outer", 5, "--out", root / "m",
+    ) == 0
+    bundle_dir, test_file = root / "m" / "d2", root / "prep" / "test.tsv"
+    assert _run(
+        "eval", "--model", bundle_dir, "--data", test_file, "--out", root / "e"
+    ) == 0
+    return bundle_dir, test_file
+
+
+class TestMalformedBundle:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+    def test_exits_two_naming_the_bundle(self, tmp_path, ncmtrf_run, capsys, case):
+        bundle_dir, test_file = ncmtrf_run
+        tampered = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, tampered)
+        MALFORMED_BUNDLES[case](tampered)
+        capsys.readouterr()
+        assert _run(
+            "eval", "--model", tampered, "--data", test_file,
+            "--out", tmp_path / "e",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cmtrf: data error: {tampered}: malformed bundle")
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize(
+        "exc", [DomainError("outside the domain"), np.linalg.LinAlgError("singular")],
+        ids=["domain", "linalg"],
+    )
+    def test_train_exits_three(self, tmp_path, prepared, monkeypatch, capsys, exc):
+        def failing_fit(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(core, "fit", failing_fit)
+        assert _run(
+            "train", "--train", prepared / "train.tsv", "--mode", "1cmtrf",
+            "--d", 2, "--out", tmp_path / "t",
+        ) == 3
+        assert f"numerical failure: {exc}" in capsys.readouterr().err
+
+
 class TestHeldOut:
     def test_sparse_pipeline_scores_known_rows(self, tmp_path):
         # Uniform splits of sparse data leave test rows whose user occurs
@@ -428,6 +540,13 @@ class TestGridsearch:
         assert "test" in payload
         assert payload["test"]["test_mse"] >= 0
         assert (out / "winner" / "model.txt").exists()
+
+    def test_k_above_user_count_is_skipped(self, tmp_path, prepared):
+        out = tmp_path / "g5"
+        with pytest.warns(UserWarning, match="skipping K=999"):
+            assert self._grid(tmp_path, prepared, out, ks="2,999") == 0
+        cells = [json.loads(p.read_text()) for p in (out / "cells").glob("*.json")]
+        assert [c["K"] for c in cells] == [2]
 
     def test_empty_grid_is_error(self, tmp_path, prepared):
         assert self._grid(tmp_path, prepared, tmp_path / "g4", lambdas="") == 2

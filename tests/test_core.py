@@ -731,3 +731,21 @@ class TestClusterStateValidation:
     def test_rejects_margin_violation(self):
         with pytest.raises(ValueError):
             ClusterState(np.array([0, 0]), np.array([[1.0, 0.9, 0.8]]), 0.5)
+
+    @pytest.mark.parametrize(
+        "transforms",
+        [np.array([3.0, 2.0, 1.0]), np.ones((1, 1, 3)), np.empty((1, 0))],
+        ids=["1-d", "3-d", "no-levels"],
+    )
+    def test_rejects_transforms_that_are_not_rows(self, transforms):
+        with pytest.raises(ValueError, match="2-d transforms"):
+            ClusterState(np.array([0, 0]), transforms, 0.5)
+
+    def test_rejects_negative_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            ClusterState(np.array([0, 0]), np.array([[3.0, 2.0, 1.0]]), -0.1)
+
+    def test_margin_violation_on_any_row(self):
+        rows = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 1.9]])
+        with pytest.raises(ValueError, match="margin violation"):
+            ClusterState(np.array([0, 1]), rows, 0.5)

@@ -61,6 +61,24 @@ class TestLoadTriplets:
         with pytest.raises(DataError, match="non-finite timestamp .* line 2"):
             load_triplets(path)
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["1\t10\t4\t100", "1\t11\t3\t200", "2\t10\t5"], 3),
+            (["1\t10\t4", "", "1\t11\t3", "2\t10\t5\t300"], 4),
+        ],
+        ids=["missing", "extra-after-blank"],
+    )
+    def test_timestamps_on_some_rows_report_line(self, tmp_path, rows, line):
+        path = _write(tmp_path, rows)
+        with pytest.raises(DataError, match=f"only some rows, at line {line}$"):
+            load_triplets(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = _write(tmp_path, ["1\t10\t4", "", "  ", "1\t11\tfour"])
+        with pytest.raises(DataError, match="malformed row at line 4"):
+            load_triplets(path)
+
     def test_duplicate_pairs_keep_last(self, tmp_path):
         path = _write(
             tmp_path, ["1\t10\t4\t100", "1\t10\t2\t200", "2\t10\t3\t50"]

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from oracles import predict_loop
 
@@ -10,21 +11,24 @@ from cmtrf.isotonic import RatingScaleTransform
 class TestBuildInverse:
     def test_identity_on_base_scale(self):
         inv = build_inverse(
-            RatingScaleTransform(np.array([5.0, 4, 3, 2, 1])), np.arange(1.0, 6.0)
+            RatingScaleTransform(np.array([5.0, 4, 3, 2, 1])).values,
+            np.arange(1.0, 6.0),
         )
         assert inv(3.7) == pytest.approx(3.7)
         np.testing.assert_allclose(inv([1.0, 2.5, 5.0]), [1.0, 2.5, 5.0])
 
     def test_doubled_scale_interpolates(self):
         inv = build_inverse(
-            RatingScaleTransform(np.array([10.0, 8, 6, 4, 2])), np.arange(1.0, 6.0)
+            RatingScaleTransform(np.array([10.0, 8, 6, 4, 2])).values,
+            np.arange(1.0, 6.0),
         )
         assert inv(6.0) == pytest.approx(3.0)
         assert inv(5.0) == pytest.approx(2.5)
 
     def test_clamps_outside_knots(self):
         inv = build_inverse(
-            RatingScaleTransform(np.array([5.0, 4, 3, 2, 1])), np.arange(1.0, 6.0)
+            RatingScaleTransform(np.array([5.0, 4, 3, 2, 1])).values,
+            np.arange(1.0, 6.0),
         )
         assert inv(100.0) == 5.0
         assert inv(-100.0) == 1.0
@@ -36,7 +40,7 @@ class TestBuildInverse:
             values = np.concatenate([[rng.normal()], gaps]).cumsum()[::-1]
             tr = RatingScaleTransform(values, 0.5)
             vocab = np.arange(1.0, 6.0)
-            inv = build_inverse(tr, vocab)
+            inv = build_inverse(tr.values, vocab)
             for level in range(5):
                 assert inv(tr.value_for_level(level)) == pytest.approx(
                     vocab[level]
@@ -45,7 +49,9 @@ class TestBuildInverse:
     def test_monotone(self):
         rng = np.random.default_rng(1)
         values = np.cumsum(rng.uniform(0.5, 2, 5))[::-1]
-        inv = build_inverse(RatingScaleTransform(values, 0.5), np.arange(1.0, 6.0))
+        inv = build_inverse(
+            RatingScaleTransform(values, 0.5).values, np.arange(1.0, 6.0)
+        )
         s = np.sort(rng.normal(0, 5, 200))
         out = inv(s)
         assert (np.diff(out) >= 0).all()
@@ -53,7 +59,7 @@ class TestBuildInverse:
     def test_tied_knots_collapse(self):
         # Zero margin permits ties; they merge into one knot.
         tr = RatingScaleTransform(np.array([3.0, 2.0, 2.0]), 0.0)
-        inv = build_inverse(tr, np.array([1.0, 2.0, 3.0]))
+        inv = build_inverse(tr.values, np.array([1.0, 2.0, 3.0]))
         assert inv(2.0) == pytest.approx(1.5)
         assert inv(3.0) == pytest.approx(3.0)
 
@@ -61,10 +67,59 @@ class TestBuildInverse:
         # Ten-level scales (0.5 .. 5.0) map latent knots to half-step values.
         vocab = np.arange(0.5, 5.01, 0.5)
         tr = RatingScaleTransform.base(10, 0.5)
-        inv = build_inverse(tr, vocab)
+        inv = build_inverse(tr.values, vocab)
         assert inv(tr.value_for_level(6)) == pytest.approx(3.5)
         assert inv(1.5) == pytest.approx(0.75)  # halfway between levels 0 and 1
         assert inv(99.0) == pytest.approx(5.0)
+
+
+def _inverse_outcome(build, row, vocab, scores):
+    """The inverse's outputs on `scores`, or the text of what it raised."""
+    try:
+        return build(row, vocab)(scores)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestMatchesObjectInverse:
+    """`build_inverse` against the knot-object form it replaced."""
+
+    def test_bit_identical_on_random_rows(self):
+        rng = np.random.default_rng(21)
+        n_tied = n_raised = 0
+        for _ in range(10_000):
+            n_levels = int(rng.integers(2, 14))
+            gaps = rng.uniform(0.05, 2.0, n_levels - 1)
+            gaps[rng.random(n_levels - 1) < 0.4] = 0.0
+            if rng.random() < 0.5:  # one tied run of 2 to 9 levels
+                run = int(rng.integers(2, min(9, n_levels) + 1))
+                start = int(rng.integers(0, n_levels - run + 1))
+                gaps[start : start + run - 1] = 0.0
+            row = (rng.normal(0, 3) + np.concatenate([[0.0], gaps]).cumsum())[::-1]
+            vocab = rng.normal(0, 2) + rng.uniform(0.1, 1.5, n_levels).cumsum()
+            if rng.random() < 0.03:  # a repeated level makes both raise
+                vocab[-1] = vocab[-2]
+            between = (row[:-1] + row[1:]) / 2
+            outside = [row.min() - rng.uniform(0, 5), row.max() + rng.uniform(0, 5)]
+            scores = np.concatenate(
+                [row, between, outside, rng.normal(row.mean(), 3, 5)]
+            )
+            want = _inverse_outcome(oracles.build_inverse, row, vocab, scores)
+            got = _inverse_outcome(build_inverse, row, vocab, scores)
+            if isinstance(want, str):
+                assert got == want
+                n_raised += 1
+            else:
+                assert np.array_equal(got, want)
+                assert build_inverse(row, vocab)(row[0]) == want[0]
+            n_tied += bool((gaps == 0).any())
+        assert n_tied > 5_000 and n_raised > 50
+
+    def test_length_mismatch_rejected_alike(self):
+        row, vocab = np.array([3.0, 2.0, 1.0]), np.arange(1.0, 5.0)
+        want = _inverse_outcome(oracles.build_inverse, row, vocab, 0.0)
+        assert _inverse_outcome(build_inverse, row, vocab, 0.0) == want
+        assert want == "transform length differs from vocabulary length"
 
 
 class TestPredictRatings:
@@ -156,6 +211,16 @@ class TestPredictRatings:
             predict_ratings(
                 model, np.array([[5.0, 4, 3, 2, 1]]), [(9, 0)],
                 np.arange(1.0, 6.0), np.zeros(3),
+            )
+
+    @pytest.mark.parametrize("owner", [-1, 2])
+    def test_owner_outside_the_rows_rejected(self, owner):
+        # Two rows: an owner of -1 must not route through the last one.
+        transforms = np.array([[5.0, 4, 3, 2, 1], [10.0, 8, 6, 4, 2]])
+        with pytest.raises(ValueError, match="out of range"):
+            predict_ratings(
+                self._model(), transforms, [(0, 0), (1, 0)],
+                np.arange(1.0, 6.0), np.array([0, owner, 1]),
             )
 
     def test_transform_rows_without_assignments_rejected(self):
