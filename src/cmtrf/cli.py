@@ -401,7 +401,8 @@ def cmd_eval(args) -> int:
     _dump_json(row, metrics_path)
     _write_manifest(
         args.out, "eval", vars(args),
-        [data_path, os.path.join(args.model, "model.txt")],
+        [data_path, os.path.join(args.model, "model.txt"),
+         os.path.join(args.model, "bundle.json")],
         [metrics_path], row, time.perf_counter() - t0,
     )
     _report({**row, "wall_time_s": round(time.perf_counter() - t0, 3)})

@@ -115,6 +115,7 @@ class SplitSpec:
 
 
 _DELIMS = {"tsv": "\t", "csv": ","}
+_ROLES = ("user", "item", "rating", "timestamp", "-")
 WRITE_BLOCK_ROWS = 1 << 16
 
 
@@ -123,26 +124,36 @@ def load_triplets(
     fmt: str = "tsv",
     columns: tuple = ("user", "item", "rating", "timestamp"),
 ) -> SparseRatingDataset:
-    """Parse a delimiter-separated ratings file.
+    """Parse a delimiter-separated ratings file in one pass.
 
-    `columns` names the role of each input column; ``user``, ``item`` and
-    ``rating`` are required, ``timestamp`` is optional. Duplicate
-    (user, item) pairs keep the last occurrence with a warning. Parse
-    failures, non-finite ratings and non-finite timestamps report the
-    offending line number.
+    `columns` gives each column's role: ``user``, ``item`` and ``rating``,
+    optionally ``timestamp``, or ``-`` to skip it; an unknown or repeated
+    role raises `ValueError`. Timestamps are on all rows or none, as the
+    first data row decides. A row is checked as it is read: parse, finite
+    rating, finite timestamp, then timestamp presence; so the earliest bad
+    line is reported. Labels stay text unless all are integers written
+    plainly (``007`` and ``7`` are two labels). Duplicate (user, item)
+    pairs keep the last occurrence with a warning.
     """
     try:
         delim = _DELIMS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}; expected tsv or csv") from None
-    roles = {name: pos for pos, name in enumerate(columns) if name != "-"}
+    roles = {}
+    for pos, name in enumerate(columns):
+        if name not in _ROLES:
+            raise ValueError(f"unknown column role {name!r}; expected one of {_ROLES}")
+        if name in roles:
+            raise ValueError(f"column role {name!r} given twice")
+        if name != "-":
+            roles[name] = pos
     for required in ("user", "item", "rating"):
         if required not in roles:
             raise ValueError(f"column spec is missing {required!r}")
-    has_ts = "timestamp" in roles
+    ts_col = roles.get("timestamp", math.inf)  # no row reaches an absent column
 
-    raw_users, raw_items, ratings, stamps = [], [], [], []
-    ts_col = roles.get("timestamp")
+    user_ids, item_ids = {}, {}  # label -> id, in first-seen order
+    users, items, ratings, stamps = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -150,56 +161,38 @@ def load_triplets(
                 continue
             fields = line.split(delim)
             try:
-                raw_users.append(fields[roles["user"]].strip())
-                raw_items.append(fields[roles["item"]].strip())
-                ratings.append(float(fields[roles["rating"]]))
-                if has_ts:
-                    # A trailing timestamp column may be absent entirely.
-                    if ts_col < len(fields):
-                        stamps.append(float(fields[ts_col]))
-                    else:
-                        stamps.append(None)
+                user = fields[roles["user"]].strip()
+                item = fields[roles["item"]].strip()
+                rating = float(fields[roles["rating"]])
+                stamp = float(fields[ts_col]) if ts_col < len(fields) else None
             except (IndexError, ValueError) as exc:
                 raise DataError(f"{path}: malformed row at line {lineno}: {exc}")
-            if not math.isfinite(ratings[-1]):
+            if not math.isfinite(rating):
                 raise DataError(
-                    f"{path}: non-finite rating {ratings[-1]!r} at line {lineno}"
+                    f"{path}: non-finite rating {rating!r} at line {lineno}"
                 )
-            if has_ts and stamps[-1] is not None and not math.isfinite(stamps[-1]):
+            if stamp is not None and not math.isfinite(stamp):
                 raise DataError(
-                    f"{path}: non-finite timestamp {stamps[-1]!r} at line {lineno}"
+                    f"{path}: non-finite timestamp {stamp!r} at line {lineno}"
                 )
-    if not raw_users:
+            if not users:
+                has_ts = stamp is not None
+            elif has_ts != (stamp is not None):
+                raise DataError(
+                    f"{path}: timestamps present on only some rows, at line {lineno}"
+                )
+            users.append(user_ids.setdefault(user, len(user_ids)))
+            items.append(item_ids.setdefault(item, len(item_ids)))
+            ratings.append(rating)
+            if has_ts:
+                stamps.append(stamp)
+    if not users:
         raise DataError(f"{path}: no ratings found")
-    if has_ts:
-        if all(s is None for s in stamps):
-            stamps = []
-        elif any(s is None for s in stamps):
-            row = [s is None for s in stamps].index(stamps[0] is not None)
-            with open(path) as fh:
-                lineno = [n for n, line in enumerate(fh, 1) if line.strip()][row]
-            raise DataError(
-                f"{path}: timestamps present on only some rows, at line {lineno}"
-            )
 
-    def _encode(labels):
-        # Integer labels only when every label is its integer's own text, so
-        # "007" and "7" stay two labels.
-        try:
-            integral = all(str(int(v)) == v for v in set(labels))
-        except ValueError:
-            integral = False
-        if integral:
-            arr = np.asarray([int(v) for v in labels], dtype=np.int64)
-        else:
-            arr = np.asarray(labels, dtype=object)
-        uniq, dense = np.unique(arr, return_inverse=True)
-        return uniq, dense
-
-    user_labels, users = _encode(raw_users)
-    item_labels, items = _encode(raw_items)
+    user_labels, users = _encode(list(user_ids), users)
+    item_labels, items = _encode(list(item_ids), items)
     values = np.asarray(ratings, dtype=float)
-    stamps = np.asarray(stamps, dtype=float) if stamps else None
+    stamps = np.asarray(stamps, dtype=float) if has_ts else None
 
     pair_key = users.astype(np.int64) * (items.max() + 1) + items
     # The first occurrence of a key in the reversed rows is its last one.
@@ -222,6 +215,20 @@ def load_triplets(
     return SparseRatingDataset(
         users, items, levels, stamps, vocab, user_labels, item_labels
     )
+
+
+def _encode(first_seen: list, ids: list):
+    """Sorted labels and each row's id among them; labels are integers only
+    if each is its integer's own text, so "007" and "7" stay two labels."""
+    try:
+        integral = all(str(int(v)) == v for v in first_seen)
+    except ValueError:
+        integral = False
+    labels = np.asarray(first_seen, dtype=object)
+    if integral:
+        labels = labels.astype(np.int64)
+    uniq, dense = np.unique(labels, return_inverse=True)
+    return uniq, dense[np.asarray(ids)]
 
 
 def _number_text(values) -> list:

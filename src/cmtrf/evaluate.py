@@ -26,6 +26,8 @@ def build_inverse(transform, level_vocab):
     vocab = np.asarray(level_vocab, dtype=float)
     if latents.shape != vocab.shape:
         raise ValueError("transform length differs from vocabulary length")
+    if not np.isfinite(latents).all():
+        raise ValueError("transform values must be finite")
     if not np.all(np.diff(latents) > 0):
         keep_lat, keep_val = [], []
         start = 0

@@ -23,7 +23,9 @@ MARGIN_TOL = 1e-9
 
 
 def _check_margins(values: np.ndarray, epsilon: float) -> None:
-    """Raise unless every row of `values` descends by at least `epsilon`."""
+    """Raise unless `values` is finite and each row descends by at least `epsilon`."""
+    if not np.isfinite(values).all():
+        raise ValueError("transform values must be finite")
     gaps = -np.diff(values)
     if gaps.size and gaps.min() < epsilon - MARGIN_TOL:
         raise ValueError(

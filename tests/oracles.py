@@ -40,6 +40,12 @@ per revived cluster. `solve_transform_row` is the per-row fit they called,
 with `margin_isotonic_blocks` in place of the per-problem PAV stack.
 `patch_per_row_transform_step` runs every fit through both.
 
+`load_triplets_two_pass` is the ratings-file parser as it was before it
+read the file in one pass: it keeps every row's label strings and a
+`None` for each missing timestamp, checks timestamp presence after the
+loop (reading the file again for the line number), and sorts every row's
+label to number the labels.
+
 `rescoring_loop` is the outer loop as it ran before it held its targets and
 scores: every trace record gathers the targets again and scores the model
 again through `rescoring_objective`, and each iteration scores the model
@@ -49,12 +55,16 @@ the other side's keys of every block in every sweep. `patch_rescoring_loop`
 runs every fit through both.
 """
 import itertools
+import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from cmtrf import core, factorization
+from cmtrf.data import _DELIMS, SparseRatingDataset
+from cmtrf.errors import DataError
 from cmtrf.isotonic import IsotonicProblem, RatingScaleTransform, _pooled_value
 
 
@@ -554,3 +564,109 @@ def patch_rescoring_loop(monkeypatch):
         ridge_sweep_rekeyed(side, side.other_keys, other, targets, out, lam)
 
     monkeypatch.setattr(factorization, "_ridge_sweep", sweep)
+
+
+def load_triplets_two_pass(
+    path,
+    fmt: str = "tsv",
+    columns: tuple = ("user", "item", "rating", "timestamp"),
+) -> SparseRatingDataset:
+    """Parse a delimiter-separated ratings file.
+
+    `columns` names the role of each input column; ``user``, ``item`` and
+    ``rating`` are required, ``timestamp`` is optional. Duplicate
+    (user, item) pairs keep the last occurrence with a warning. Parse
+    failures, non-finite ratings and non-finite timestamps report the
+    offending line number.
+    """
+    try:
+        delim = _DELIMS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}; expected tsv or csv") from None
+    roles = {name: pos for pos, name in enumerate(columns) if name != "-"}
+    for required in ("user", "item", "rating"):
+        if required not in roles:
+            raise ValueError(f"column spec is missing {required!r}")
+    has_ts = "timestamp" in roles
+
+    raw_users, raw_items, ratings, stamps = [], [], [], []
+    ts_col = roles.get("timestamp")
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(delim)
+            try:
+                raw_users.append(fields[roles["user"]].strip())
+                raw_items.append(fields[roles["item"]].strip())
+                ratings.append(float(fields[roles["rating"]]))
+                if has_ts:
+                    # A trailing timestamp column may be absent entirely.
+                    if ts_col < len(fields):
+                        stamps.append(float(fields[ts_col]))
+                    else:
+                        stamps.append(None)
+            except (IndexError, ValueError) as exc:
+                raise DataError(f"{path}: malformed row at line {lineno}: {exc}")
+            if not math.isfinite(ratings[-1]):
+                raise DataError(
+                    f"{path}: non-finite rating {ratings[-1]!r} at line {lineno}"
+                )
+            if has_ts and stamps[-1] is not None and not math.isfinite(stamps[-1]):
+                raise DataError(
+                    f"{path}: non-finite timestamp {stamps[-1]!r} at line {lineno}"
+                )
+    if not raw_users:
+        raise DataError(f"{path}: no ratings found")
+    if has_ts:
+        if all(s is None for s in stamps):
+            stamps = []
+        elif any(s is None for s in stamps):
+            row = [s is None for s in stamps].index(stamps[0] is not None)
+            with open(path) as fh:
+                lineno = [n for n, line in enumerate(fh, 1) if line.strip()][row]
+            raise DataError(
+                f"{path}: timestamps present on only some rows, at line {lineno}"
+            )
+
+    def _encode(labels):
+        # Integer labels only when every label is its integer's own text, so
+        # "007" and "7" stay two labels.
+        try:
+            integral = all(str(int(v)) == v for v in set(labels))
+        except ValueError:
+            integral = False
+        if integral:
+            arr = np.asarray([int(v) for v in labels], dtype=np.int64)
+        else:
+            arr = np.asarray(labels, dtype=object)
+        uniq, dense = np.unique(arr, return_inverse=True)
+        return uniq, dense
+
+    user_labels, users = _encode(raw_users)
+    item_labels, items = _encode(raw_items)
+    values = np.asarray(ratings, dtype=float)
+    stamps = np.asarray(stamps, dtype=float) if stamps else None
+
+    pair_key = users.astype(np.int64) * (items.max() + 1) + items
+    # The first occurrence of a key in the reversed rows is its last one.
+    _, last = np.unique(pair_key[::-1], return_index=True)
+    if last.size < pair_key.size:
+        warnings.warn(
+            f"{pair_key.size - last.size} duplicate (user, item) "
+            "pairs; keeping the last occurrence of each"
+        )
+        keep = np.sort(pair_key.size - 1 - last)
+        users, items, values = users[keep], items[keep], values[keep]
+        if stamps is not None:
+            stamps = stamps[keep]
+
+    vocab = np.unique(values)
+    levels = np.searchsorted(vocab, values)
+    if stamps is not None and np.all(stamps == np.round(stamps)):
+        stamps = stamps.astype(np.int64)
+    # Every label numbered by _encode keeps a row, so the ids are compact.
+    return SparseRatingDataset(
+        users, items, levels, stamps, vocab, user_labels, item_labels
+    )

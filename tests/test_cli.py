@@ -323,6 +323,7 @@ MALFORMED_BUNDLES = {
     "malformed-model-header": _edit(
         "model.txt", lambda text: "2 x 20\n" + text.split("\n", 1)[1]
     ),
+    "nan-in-row": _first_row(lambda row, b: [row[0], float("nan"), *row[2:]]),
     "rows-shorter-than-vocab": _set(
         "transforms", lambda rows, b: [row[:-1] for row in rows]
     ),
@@ -367,6 +368,16 @@ class TestMalformedBundle:
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"cmtrf: data error: {tampered}: malformed bundle")
+
+
+def test_eval_manifest_hashes_the_bundle(tmp_path, ncmtrf_run):
+    # The transforms and owner map that produce the scores are in bundle.json.
+    bundle_dir, test_file = ncmtrf_run
+    out = tmp_path / "e"
+    assert _run("eval", "--model", bundle_dir, "--data", test_file, "--out", out) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    for name in ("model.txt", "bundle.json"):
+        assert inputs[str(bundle_dir / name)] == _file_hash(bundle_dir / name)
 
 
 class TestNumericalFailure:
@@ -587,6 +598,21 @@ class TestUsage:
             "--d", 2, "--max-outer", 3, flag, value, "--out", tmp_path / "bad",
         ) == 1
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [("user,item,rating,rating", "'rating' given twice"),
+         ("user,item,rating,time", "unknown column role 'time'")],
+        ids=["repeated", "unknown"],
+    )
+    def test_bad_column_role_exits_one(
+        self, tmp_path, synth_dir, capsys, columns, message
+    ):
+        assert _run(
+            "prepare", synth_dir / "ratings.tsv", "--columns", columns,
+            "--out", tmp_path / "p",
+        ) == 1
+        assert message in capsys.readouterr().err
 
     def test_bad_config_value_exits_one(self, tmp_path, prepared):
         assert _run(

@@ -745,6 +745,15 @@ class TestClusterStateValidation:
         with pytest.raises(ValueError, match="epsilon"):
             ClusterState(np.array([0, 0]), np.array([[3.0, 2.0, 1.0]]), -0.1)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[3.0, np.nan, 1.0]], [[np.nan]], [[3.0, 2.0, 1.0], [np.inf, 2.0, 1.0]]],
+        ids=["nan", "nan-one-level", "inf"],
+    )
+    def test_rejects_non_finite_rows(self, rows):
+        with pytest.raises(ValueError, match="must be finite"):
+            ClusterState(np.zeros(2, dtype=int), np.array(rows), 0.5)
+
     def test_margin_violation_on_any_row(self):
         rows = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 1.9]])
         with pytest.raises(ValueError, match="margin violation"):

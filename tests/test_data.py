@@ -1,5 +1,9 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from oracles import load_triplets_two_pass
 
 from cmtrf.data import (
     SparseRatingDataset,
@@ -101,6 +105,25 @@ class TestLoadTriplets:
         np.testing.assert_array_equal(ds.user_labels[ds.users], [2, 3, 1, 2])
         np.testing.assert_array_equal(ds.raw_values, [2.0, 4.0, 5.0, 1.0])
 
+    def test_two_defects_report_the_earlier_line(self, tmp_path):
+        # Line 2 lacks the timestamp the first row has; line 4 does not parse.
+        path = _write(tmp_path, ["1\t10\t4\t100", "1\t11\t3", "", "2\tbroken"])
+        with pytest.raises(DataError, match="only some rows, at line 2$"):
+            load_triplets(path)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (("user", "item", "rating", "rating"), "'rating' given twice"),
+            (("user", "item", "rating", "time"), "unknown column role 'time'"),
+        ],
+        ids=["repeated", "unknown"],
+    )
+    def test_column_spec_names_a_bad_role(self, tmp_path, columns, message):
+        path = _write(tmp_path, ["1\t10\t4\t100", "1\t11\t2\t90"])
+        with pytest.raises(ValueError, match=message):
+            load_triplets(path, columns=columns)
+
     def test_csv_and_column_order(self, tmp_path):
         path = _write(tmp_path, ["4,1,10,100", "2,1,11,90"], name="r.csv")
         ds = load_triplets(
@@ -129,6 +152,135 @@ class TestLoadTriplets:
         for value in ds.level_vocab:
             level = _levels_of(ds.level_vocab, [value])[0]
             assert ds.level_vocab[level] == value
+
+
+def _label_writer(rng):
+    """One column's label text: integers, strings, or integers written both
+    plainly and zero-padded, as ``7`` and ``007``."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return str
+    if kind == 1:
+        return lambda k: f"u{k}"
+    return lambda k: f"{k // 2:03d}" if k % 2 else str(k // 2)
+
+
+def _seeded_file(tmp_path, seed):
+    """A small ratings file in a seeded layout with at most one defect.
+
+    Returns its path, format and column spec. Layouts vary in labels,
+    ratings, timestamps (none, integral, fractional), blank lines,
+    duplicate pairs, delimiter, column order and skipped columns.
+    """
+    rng = np.random.default_rng(seed)
+    fmt = ("tsv", "csv")[rng.integers(2)]
+    ts_kind = rng.integers(3)  # 0 none, 1 integral, 2 fractional
+    roles = ["user", "item", "rating"] + (["timestamp"] if ts_kind else [])
+    roles = [roles[i] for i in rng.permutation(len(roles))]
+    roles[rng.integers(len(roles) + 1):0] = ["-"] * rng.integers(3)
+    if ts_kind == 0 and rng.random() < 0.3:
+        roles.append("timestamp")  # a spec'd trailing column no row has
+    user_text, item_text = _label_writer(rng), _label_writer(rng)
+    scale = rng.choice([1.0, 0.5, 0.25])
+    rows = []
+    for _ in range(rng.integers(1, 30)):
+        cells = {
+            "user": user_text(int(rng.integers(12))),
+            "item": item_text(int(rng.integers(12))),
+            "rating": repr(float(scale * rng.integers(1, 11))),
+            "timestamp": str(int(rng.integers(10**9)))
+            if ts_kind == 1 else repr(float(rng.integers(100)) / 4),
+            "-": "x",
+        }
+        if ts_kind == 0:
+            cells.pop("timestamp")
+        rows.append([cells.get(role) for role in roles])
+    for _ in range(rng.integers(3)):  # repeat a pair with a new rating
+        row = list(rows[rng.integers(len(rows))])
+        row[roles.index("rating")] = repr(float(rng.integers(1, 6)))
+        rows.insert(rng.integers(len(rows) + 1), row)
+    defect = rng.integers(8)
+    at = rng.integers(len(rows))
+    ts_at = roles.index("timestamp") if "timestamp" in roles else None
+    if defect == 1:
+        rows[at] = rows[at][:1]
+    elif defect == 2:
+        rows[at][roles.index("rating")] = "four"
+    elif defect == 3:
+        rows[at][roles.index("rating")] = ("nan", "inf", "-inf")[rng.integers(3)]
+    elif defect == 4 and ts_kind:
+        rows[at][ts_at] = ("nan", "inf", "-inf", "t")[rng.integers(4)]
+    elif defect == 5 and ts_kind and ts_at == len(roles) - 1:
+        rows[at] = rows[at][:-1]  # one row without the trailing timestamp
+    elif defect == 6 and ts_at == len(roles) - 1 and not ts_kind:
+        rows[at][-1] = "7"  # one row with a timestamp the others lack
+    elif defect == 7 and rng.random() < 0.2:
+        rows = []
+    delim = "\t" if fmt == "tsv" else ","
+    lines = [delim.join(c for c in row if c is not None) for row in rows]
+    for _ in range(rng.integers(3)):
+        lines.insert(rng.integers(len(lines) + 1), ("", "  ")[rng.integers(2)])
+    path = tmp_path / f"f{seed}.{fmt}"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return path, fmt, tuple(roles)
+
+
+def _outcome(load, path, fmt, columns):
+    """What a loader gives for a file: a dataset or an error, and warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path, fmt=fmt, columns=columns)
+        except (DataError, ValueError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+class TestMatchesTwoPassLoader:
+    def test_same_outputs_warnings_and_errors(self, tmp_path):
+        kinds = set()
+        for seed in range(400):
+            path, fmt, columns = _seeded_file(tmp_path, seed)
+            new, new_warned = _outcome(load_triplets, path, fmt, columns)
+            old, old_warned = _outcome(load_triplets_two_pass, path, fmt, columns)
+            assert new_warned == old_warned, seed
+            if isinstance(old, tuple):
+                assert new == old, seed
+                kinds.add(old[1].split(": ")[1].split(" ")[0])
+                continue
+            kinds.add("none" if old.timestamps is None else old.timestamps.dtype.name)
+            for name in ("users", "items", "levels", "timestamps", "level_vocab",
+                         "user_labels", "item_labels"):
+                a, b = getattr(new, name), getattr(old, name)
+                assert (a is None) == (b is None), (seed, name)
+                if a is not None:
+                    assert a.dtype == b.dtype, (seed, name)
+                    assert np.array_equal(a, b), (seed, name)
+        # Every error ("no" is "no ratings found") and timestamp type came up.
+        assert {"malformed", "non-finite", "timestamps", "no", "none", "int64",
+                "float64"} <= kinds
+
+
+def test_load_keeps_no_per_row_label_objects(tmp_path):
+    # Per-row label strings and None timestamps cost ~240 bytes a row; the
+    # parsed columns and the dedupe arrays cost ~120.
+    rng = np.random.default_rng(0)
+    n_users, n_items, n = 3000, 2000, 100_000
+    keys = np.sort(rng.choice(n_users * n_items, n, replace=False))
+    ds = SparseRatingDataset(
+        keys // n_items, keys % n_items, rng.integers(0, 5, n),
+        874724710 + rng.permutation(n), np.arange(1.0, 6.0),
+        np.arange(n_users), np.arange(n_items),
+    )
+    path = tmp_path / "big.tsv"
+    write_triplets(ds, path)
+    tracemalloc.start()
+    try:
+        load_triplets(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 160
 
 
 def _toy_dataset(n=40, seed=0, with_ts=True):

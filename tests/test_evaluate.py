@@ -63,6 +63,15 @@ class TestBuildInverse:
         assert inv(2.0) == pytest.approx(1.5)
         assert inv(3.0) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize(
+        "row", [[3.0, np.nan, 1.0], [np.nan, np.nan, 1.0], [np.inf, 2.0, 1.0]],
+        ids=["nan", "tied-nan", "inf"],
+    )
+    def test_non_finite_row_rejected(self, row):
+        # A NaN breaks the tie-collapse's comparisons, which would drop it.
+        with pytest.raises(ValueError, match="must be finite"):
+            build_inverse(row, [1.0, 2.0, 3.0])
+
     def test_half_step_vocabulary(self):
         # Ten-level scales (0.5 .. 5.0) map latent knots to half-step values.
         vocab = np.arange(0.5, 5.01, 0.5)

@@ -204,6 +204,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             RatingScaleTransform(np.array([1.0, 0.9]), epsilon=0.5)
 
+    @pytest.mark.parametrize(
+        "values", [[3.0, np.nan, 1.0], [np.nan], [np.inf, 3.0], [3.0, 2.0, -np.inf]],
+        ids=["nan", "nan-one-level", "inf", "minus-inf"],
+    )
+    def test_transform_must_be_finite(self, values):
+        with pytest.raises(ValueError, match="must be finite"):
+            RatingScaleTransform(np.array(values), epsilon=0.5)
+
     def test_transform_level_lookup(self):
         tr = RatingScaleTransform(np.array([5.0, 4.0, 3.0]), epsilon=0.5)
         assert tr.value_for_level(0) == 3.0
